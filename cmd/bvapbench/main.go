@@ -1,12 +1,12 @@
 // Command bvapbench regenerates the tables and figures of the paper's
-// evaluation (§8) and runs the canonical perf harness. Every experiment is
-// declared once in the registry below; the -exp help text, the usage
-// listing and the dispatch all derive from it.
+// evaluation (§8) and runs the canonical perf harness and the service and
+// fleet gates. Every experiment is declared once in the registry below; the
+// -exp help text, the usage listing and the dispatch all derive from it.
 //
 // Usage:
 //
 //	bvapbench -exp <name>[,<name>...] [flags]
-//	bvapbench -exp all            # every experiment except perf
+//	bvapbench -exp all            # every experiment in -exp all
 //	bvapbench -exp perf -baseline testdata/bench_baseline.json
 //
 // Flags:
@@ -14,19 +14,23 @@
 //	-sample N    regexes sampled per dataset (default 80; paper uses >300)
 //	-inputlen N  corpus length per run (default 4096)
 //	-datasets    comma-separated dataset subset (default all seven)
+//	-dataset     the one dataset of the single-dataset experiments
 //
-// The perf experiment writes a versioned BENCH_<n>.json report (schema in
+// An experiment that produces a BENCH report (perf, soak, obs, fleetobs,
+// heal, rebar) writes it as a versioned BENCH_<n>.json (schema in
 // EXPERIMENTS.md) into the current directory (-bench-out overrides), and
 // with -baseline compares the counted metrics against a previous report,
-// exiting non-zero when any metric regresses beyond its threshold.
-// -render adds ASCII tile-occupancy and stall heatmaps per dataset.
+// failing when any metric regresses beyond its threshold. The report is
+// written before the run is failed, so a failing run is archived too.
+// -render adds ASCII tile-occupancy and stall heatmaps to -exp perf.
 //
 // Observability: -metrics writes the accrued telemetry counters (Prometheus
 // text, or JSON with a .json suffix), -trace writes a structured trace with
 // one span per experiment (Chrome trace_event JSON, or JSONL with a .jsonl
 // suffix), and -pprof serves net/http/pprof, expvar and a live /metrics
-// endpoint while the benchmarks run. The breakdown experiment attributes a
-// run's energy to pipeline stages on the architecture chosen by -arch.
+// endpoint while the benchmarks run. Both files are written even when an
+// experiment fails. The breakdown experiment attributes a run's energy to
+// pipeline stages on the architecture chosen by -arch.
 //
 // The faults experiment sweeps a fault-injection rate over one dataset and
 // reports what the resilience stack delivers: detection rate, window
@@ -36,8 +40,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -57,11 +63,15 @@ import (
 type experiment struct {
 	name string
 	desc string
-	// inAll marks experiments included in -exp all. The perf harness is
-	// excluded: its reports are only comparable at pinned parameters, so
-	// it must be invoked deliberately.
+	// inAll marks experiments included in -exp all. The perf harness and
+	// the gates are excluded: their reports are only comparable at pinned
+	// parameters, so they must be invoked deliberately.
 	inAll bool
-	run   func(a *app) error
+	// run prints the experiment's tables and returns its structured result
+	// (stored under the experiment's name for -json; nil for none) and its
+	// BENCH report (nil for none). A run may return a report together with
+	// an error: the report is still written before the run fails.
+	run func(a *app) (any, *experiments.BenchReport, error)
 }
 
 func registry() []experiment {
@@ -77,12 +87,10 @@ func registry() []experiment {
 		{"faults", "fault-injection resilience sweep", true, (*app).runFaults},
 		{"breakdown", "per-stage energy attribution on one dataset", true, (*app).runBreakdown},
 		{"perf", "canonical perf harness → BENCH_<n>.json (+ -baseline compare)", false, (*app).runPerf},
-		{"throughput", "parallel-vs-sequential scan throughput sweep → BENCH_<n>.json (+ -baseline compare)", false, (*app).runThroughput},
 		{"soak", "service soak: crash/resume correctness + overload/reload churn → BENCH_<n>.json (+ -baseline compare)", false, (*app).runSoak},
 		{"obs", "tracing overhead: disabled-path allocs, live throughput cost, energy-partition exactness → BENCH_<n>.json (+ -baseline compare)", false, (*app).runObs},
-		{"cluster", "fleet soak: node kills, session migration, coordinated reloads, tenant quotas → BENCH_<n>.json (+ -baseline compare)", false, (*app).runCluster},
 		{"fleetobs", "fleet observability gate: cross-node trace stitching, exact metrics federation, SLO burn-rate alerting, disabled-path allocs → BENCH_<n>.json (+ -baseline compare)", false, (*app).runFleetObs},
-		{"heal", "self-healing soak: gossip membership, replicated checkpoints, kill/join re-placement with NO driver-side migration → BENCH_<n>.json (+ -baseline compare)", false, (*app).runHeal},
+		{"heal", "self-healing soak: gossip membership, replicated checkpoints, a coordinated publish, kill/join re-placement with NO driver-side migration → BENCH_<n>.json (+ -baseline compare)", false, (*app).runHeal},
 		{"rebar", "curated competitive conformance suite: verified per-engine match counts + BVAP-vs-regexp position → BENCH_<n>.json (+ -baseline compare)", false, (*app).runRebar},
 	}
 }
@@ -101,55 +109,40 @@ func expNames(includeAll bool) string {
 // app carries the parsed flags and cross-experiment memoized state.
 type app struct {
 	// flags
-	ablationDataset  string
-	breakdownDataset string
-	archName         string
-	faultsDataset    string
-	faultSeed        int64
-	faultRates       string
-	faultStreaming   bool
-	faultNoParity    bool
-	sample           int
-	inputLen         int
-	tpDataset        string
-	tpInputs         int
-	tpWorkers        string
-	tpChunks         string
-	soakDataset      string
-	soakDuration     time.Duration
-	soakScanners     int
-	soakReloads      int
-	soakRestarts     int
-	obsDataset       string
-	obsScans         int
-	obsRounds        int
-	clusterDataset   string
-	clusterNodes     int
-	clusterStreams   int
-	clusterKills     int
-	clusterPublishes int
-	fleetobsDataset  string
-	fleetobsNodes    int
-	fleetobsScans    int
-	healDataset      string
-	healNodes        int
-	healStreams      int
-	healKills        int
-	healJoins        int
-	healReplicas     int
-	healInjectLoss   bool
-	rebarDir         string
-	rebarFilter      string
-	rebarEngines     string
-	rebarReps        int
-	datasets         []string
-	archs            []string
-	baselinePath     string
-	benchOut         string
-	render           bool
+	dataset        string
+	archName       string
+	faultSeed      int64
+	faultRates     string
+	faultStreaming bool
+	faultNoParity  bool
+	sample         int
+	inputLen       int
+	soakDuration   time.Duration
+	soakScanners   int
+	soakReloads    int
+	soakRestarts   int
+	obsScans       int
+	obsRounds      int
+	fleetobsNodes  int
+	fleetobsScans  int
+	healNodes      int
+	healStreams    int
+	healKills      int
+	healJoins      int
+	healReplicas   int
+	healInjectLoss bool
+	rebarDir       string
+	rebarFilter    string
+	rebarEngines   []string
+	rebarReps      int
+	datasets       []string
+	archs          []string
+	baselinePath   string
+	benchOut       string
+	render         bool
 
+	out  io.Writer
 	sess *obs.Session
-	dump jsonResults
 
 	// Memoized stages shared between experiments (fig13 → table5 →
 	// fig14 → summary all build on the DSE).
@@ -159,82 +152,84 @@ type app struct {
 }
 
 func main() {
-	var a app
-	exp := flag.String("exp", "all", "comma-separated experiments: "+expNames(true))
-	flag.StringVar(&a.ablationDataset, "ablation-dataset", "Snort", "dataset for the -exp ablation run")
-	flag.StringVar(&a.breakdownDataset, "breakdown-dataset", "Snort", "dataset for the -exp breakdown run")
-	flag.StringVar(&a.archName, "arch", "bvap", "architecture for the -exp breakdown run: bvap, bvap-s, cama, ca, eap, cnt")
-	flag.StringVar(&a.faultsDataset, "fault-dataset", "Snort", "dataset for the -exp faults sweep")
-	flag.Int64Var(&a.faultSeed, "fault-seed", 1, "fault-injection seed for the -exp faults sweep")
-	flag.StringVar(&a.faultRates, "fault-rates", "", "comma-separated per-site injection rates for -exp faults (default 0,1e-4,5e-4,2e-3,1e-2)")
-	flag.BoolVar(&a.faultStreaming, "fault-streaming", false, "run the -exp faults sweep on BVAP-S (stream drop/dup faults)")
-	flag.BoolVar(&a.faultNoParity, "fault-noparity", false, "disable the per-BV parity detection circuit in -exp faults")
-	flag.IntVar(&a.sample, "sample", 80, "regexes sampled per dataset")
-	flag.IntVar(&a.inputLen, "inputlen", 4096, "input corpus length")
-	flag.StringVar(&a.tpDataset, "tp-dataset", "Snort", "dataset for the -exp throughput sweep")
-	flag.IntVar(&a.tpInputs, "tp-inputs", 32, "batch pieces the -exp throughput corpus is split into")
-	flag.StringVar(&a.tpWorkers, "tp-workers", "", "comma-separated worker counts for -exp throughput (default 1,2,4[,NumCPU])")
-	flag.StringVar(&a.tpChunks, "tp-chunks", "", "comma-separated chunk sizes for -exp throughput (default 4096,16384)")
-	flag.StringVar(&a.soakDataset, "soak-dataset", "Snort", "dataset for the -exp soak run")
-	flag.DurationVar(&a.soakDuration, "soak-duration", 2*time.Second, "overload-phase wall bound for -exp soak")
-	flag.IntVar(&a.soakScanners, "soak-scanners", 8, "concurrent scan goroutines for -exp soak")
-	flag.IntVar(&a.soakReloads, "soak-reloads", 3, "concurrent hot reloads during the -exp soak overload phase")
-	flag.IntVar(&a.soakRestarts, "soak-restarts", 4, "checkpoint/resume crash cycles in the -exp soak session phase")
-	flag.StringVar(&a.obsDataset, "obs-dataset", "Snort", "dataset for the -exp obs overhead run")
-	flag.IntVar(&a.obsScans, "obs-scans", 32, "timed scans per side per round in -exp obs")
-	flag.IntVar(&a.obsRounds, "obs-rounds", 3, "alternating measurement rounds in -exp obs")
-	flag.StringVar(&a.clusterDataset, "cluster-dataset", "Snort", "dataset for the -exp cluster fleet soak")
-	flag.IntVar(&a.clusterNodes, "cluster-nodes", 3, "in-process nodes in the -exp cluster fleet")
-	flag.IntVar(&a.clusterStreams, "cluster-streams", 6, "concurrent migrating sessions in -exp cluster")
-	flag.IntVar(&a.clusterKills, "cluster-kills", 2, "forced node kills during -exp cluster (capped at nodes-1)")
-	flag.IntVar(&a.clusterPublishes, "cluster-publishes", 2, "coordinated reload rounds during -exp cluster")
-	flag.StringVar(&a.fleetobsDataset, "fleetobs-dataset", "Snort", "dataset for the -exp fleetobs gate")
-	flag.IntVar(&a.fleetobsNodes, "fleetobs-nodes", 3, "in-process nodes in the -exp fleetobs fleet")
-	flag.IntVar(&a.fleetobsScans, "fleetobs-scans", 24, "forced-forward ring-routed scans in -exp fleetobs")
-	flag.StringVar(&a.healDataset, "heal-dataset", "Snort", "dataset for the -exp heal self-healing soak")
-	flag.IntVar(&a.healNodes, "heal-nodes", 3, "initial in-process nodes in the -exp heal fleet")
-	flag.IntVar(&a.healStreams, "heal-streams", 6, "concurrent sessions in -exp heal")
-	flag.IntVar(&a.healKills, "heal-kills", 1, "forced node kills during -exp heal (capped at nodes-1)")
-	flag.IntVar(&a.healJoins, "heal-joins", 1, "standby nodes joining mid-stream during -exp heal")
-	flag.IntVar(&a.healReplicas, "heal-replicas", 2, "checkpoint replication factor R in -exp heal")
-	flag.BoolVar(&a.healInjectLoss, "heal-inject-loss", false, "force R=1 so a kill loses checkpoints; the soak must then fail (negative control)")
-	flag.StringVar(&a.rebarDir, "rebar-dir", "testdata/rebar", "case-file directory for -exp rebar")
-	flag.StringVar(&a.rebarFilter, "rebar-filter", "", "regexp selecting case names for -exp rebar")
-	flag.StringVar(&a.rebarEngines, "rebar-engines", "", "comma-separated engine subset for -exp rebar (default: all registered engines)")
-	flag.IntVar(&a.rebarReps, "rebar-reps", 2, "timed runs per (case, engine) cell in -exp rebar")
-	datasetList := flag.String("datasets", "", "comma-separated dataset subset")
-	archList := flag.String("archs", "", "comma-separated architecture subset for -exp perf (BVAP, BVAP-S, CAMA, CA, eAP, CNT)")
-	jsonPath := flag.String("json", "", "also write the structured results as JSON to this file")
-	flag.StringVar(&a.baselinePath, "baseline", "", "BENCH_<n>.json to compare the -exp perf run against (non-zero exit on regression)")
-	flag.StringVar(&a.benchOut, "bench-out", "", "where -exp perf writes its report (default: next BENCH_<n>.json in the current directory)")
-	flag.BoolVar(&a.render, "render", false, "print ASCII tile-occupancy and stall heatmaps during -exp perf")
-	metricsPath := flag.String("metrics", "", "write telemetry metrics to this file (Prometheus text; .json for JSON)")
-	tracePath := flag.String("trace", "", "write a structured trace to this file (Chrome trace_event JSON; .jsonl for JSONL)")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof, expvar and /metrics on this address")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: bvapbench -exp <name>[,<name>...] [flags]\n\nexperiments:\n")
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil:
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, "bvapbench:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage marks a command line the flag set already reported.
+var errUsage = errors.New("usage")
+
+// run is the whole command: it parses args, runs the selected experiments
+// in registry order and writes -json. The observability session is closed
+// on every return, so -metrics and -trace survive a failing experiment.
+func run(args []string, stdout io.Writer) (err error) {
+	a := &app{out: stdout}
+	fs := flag.NewFlagSet("bvapbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "comma-separated experiments: "+expNames(true))
+	fs.StringVar(&a.dataset, "dataset", "Snort", "dataset for the single-dataset experiments: ablation, breakdown, faults, soak, obs, fleetobs, heal")
+	fs.StringVar(&a.archName, "arch", "bvap", "architecture for the -exp breakdown run: bvap, bvap-s, cama, ca, eap, cnt")
+	fs.Int64Var(&a.faultSeed, "fault-seed", 1, "fault-injection seed for the -exp faults sweep")
+	fs.StringVar(&a.faultRates, "fault-rates", "", "comma-separated per-site injection rates for -exp faults (default 0,1e-4,5e-4,2e-3,1e-2)")
+	fs.BoolVar(&a.faultStreaming, "fault-streaming", false, "run the -exp faults sweep on BVAP-S (stream drop/dup faults)")
+	fs.BoolVar(&a.faultNoParity, "fault-noparity", false, "disable the per-BV parity detection circuit in -exp faults")
+	fs.IntVar(&a.sample, "sample", 80, "regexes sampled per dataset")
+	fs.IntVar(&a.inputLen, "inputlen", 4096, "input corpus length")
+	fs.DurationVar(&a.soakDuration, "soak-duration", 2*time.Second, "overload-phase wall bound for -exp soak")
+	fs.IntVar(&a.soakScanners, "soak-scanners", 8, "concurrent scan goroutines for -exp soak")
+	fs.IntVar(&a.soakReloads, "soak-reloads", 3, "concurrent hot reloads during the -exp soak overload phase")
+	fs.IntVar(&a.soakRestarts, "soak-restarts", 4, "checkpoint/resume crash cycles in the -exp soak session phase")
+	fs.IntVar(&a.obsScans, "obs-scans", 32, "timed scans per side per round in -exp obs")
+	fs.IntVar(&a.obsRounds, "obs-rounds", 3, "alternating measurement rounds in -exp obs")
+	fs.IntVar(&a.fleetobsNodes, "fleetobs-nodes", 3, "in-process nodes in the -exp fleetobs fleet")
+	fs.IntVar(&a.fleetobsScans, "fleetobs-scans", 24, "forced-forward ring-routed scans in -exp fleetobs")
+	fs.IntVar(&a.healNodes, "heal-nodes", 3, "initial in-process nodes in the -exp heal fleet")
+	fs.IntVar(&a.healStreams, "heal-streams", 6, "concurrent sessions in -exp heal")
+	fs.IntVar(&a.healKills, "heal-kills", 1, "forced node kills during -exp heal (capped at nodes-1)")
+	fs.IntVar(&a.healJoins, "heal-joins", 1, "standby nodes joining mid-stream during -exp heal")
+	fs.IntVar(&a.healReplicas, "heal-replicas", 2, "checkpoint replication factor R in -exp heal")
+	fs.BoolVar(&a.healInjectLoss, "heal-inject-loss", false, "force R=1 so a kill loses checkpoints; the soak must then fail (negative control)")
+	fs.StringVar(&a.rebarDir, "rebar-dir", "testdata/rebar", "case-file directory for -exp rebar")
+	fs.StringVar(&a.rebarFilter, "rebar-filter", "", "regexp selecting case names for -exp rebar")
+	rebarEngines := fs.String("rebar-engines", "", "comma-separated engine subset for -exp rebar (default: all registered engines)")
+	fs.IntVar(&a.rebarReps, "rebar-reps", 2, "timed runs per (case, engine) cell in -exp rebar")
+	datasetList := fs.String("datasets", "", "comma-separated dataset subset")
+	archList := fs.String("archs", "", "comma-separated architecture subset for -exp perf (BVAP, BVAP-S, CAMA, CA, eAP, CNT)")
+	jsonPath := fs.String("json", "", "also write the structured results as JSON to this file")
+	fs.StringVar(&a.baselinePath, "baseline", "", "BENCH_<n>.json to compare the run's BENCH report against (non-zero exit on regression)")
+	fs.StringVar(&a.benchOut, "bench-out", "", "where the run writes its BENCH report (default: next BENCH_<n>.json in the current directory)")
+	fs.BoolVar(&a.render, "render", false, "print ASCII tile-occupancy and stall heatmaps during -exp perf")
+	metricsPath := fs.String("metrics", "", "write telemetry metrics to this file (Prometheus text; .json for JSON)")
+	tracePath := fs.String("trace", "", "write a structured trace to this file (Chrome trace_event JSON; .jsonl for JSONL)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof, expvar and /metrics on this address")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: bvapbench -exp <name>[,<name>...] [flags]\n\nexperiments:\n")
 		for _, e := range registry() {
 			all := ""
 			if !e.inAll {
 				all = " (not in -exp all)"
 			}
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-10s %s%s\n", e.name, e.desc, all)
+			fmt.Fprintf(fs.Output(), "  %-10s %s%s\n", e.name, e.desc, all)
 		}
-		fmt.Fprintf(flag.CommandLine.Output(), "\nflags:\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(fs.Output(), "\nflags:\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-
-	if *datasetList != "" {
-		for _, d := range strings.Split(*datasetList, ",") {
-			a.datasets = append(a.datasets, strings.TrimSpace(d))
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
 		}
+		return errUsage
 	}
-	if *archList != "" {
-		for _, ar := range strings.Split(*archList, ",") {
-			a.archs = append(a.archs, strings.TrimSpace(ar))
-		}
-	}
+	a.datasets = splitList(*datasetList)
+	a.archs = splitList(*archList)
+	a.rebarEngines = splitList(*rebarEngines)
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exp, ",") {
@@ -246,47 +241,96 @@ func main() {
 	}
 	for name := range want {
 		if !known[name] {
-			fatal(fmt.Errorf("unknown experiment %q (want %s)", name, expNames(true)))
+			return fmt.Errorf("unknown experiment %q (want %s)", name, expNames(true))
 		}
 	}
 
 	sess, err := obs.Setup(*metricsPath, *tracePath, *pprofAddr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	a.sess = sess
 	defer func() {
-		if err := sess.Close(); err != nil {
-			fatal(err)
+		if cerr := sess.Close(); err == nil {
+			err = cerr
 		}
 	}()
 
+	results := map[string]any{}
 	for _, e := range registry() {
 		if !(want[e.name] || (want["all"] && e.inAll)) {
 			continue
 		}
-		end := a.span(e.name)
-		err := e.run(&a)
-		end()
-		if err != nil {
-			fatal(fmt.Errorf("%s: %v", e.name, err))
+		if err := a.runOne(e, results); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 	}
 
 	if *jsonPath != "" {
 		f, err := os.Create(*jsonPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(a.dump); err != nil {
-			fatal(err)
+		if err := enc.Encode(results); err != nil {
+			f.Close()
+			return err
 		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		return f.Close()
+	}
+	return nil
+}
+
+// runOne runs one experiment inside its trace span and handles what it
+// returns: the result goes into results under the experiment's name, and a
+// BENCH report is written, then the run's own error fails it, and only a
+// clean run is compared against -baseline.
+func (a *app) runOne(e experiment, results map[string]any) error {
+	end := a.span(e.name)
+	defer end()
+	res, rep, err := e.run(a)
+	if res != nil {
+		results[e.name] = res
+	}
+	if rep != nil {
+		if werr := a.writeReport(rep); werr != nil {
+			return werr
 		}
 	}
+	if err != nil {
+		return err
+	}
+	if rep == nil || a.baselinePath == "" {
+		return nil
+	}
+	base, err := experiments.ReadBenchReport(a.baselinePath)
+	if err != nil {
+		return err
+	}
+	regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
+	experiments.RenderRegressions(a.out, regs)
+	if len(regs) > 0 {
+		return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
+	}
+	return nil
+}
+
+// writeReport writes rep to -bench-out, or to the next free BENCH_<n>.json
+// in the current directory.
+func (a *app) writeReport(rep *experiments.BenchReport) error {
+	out := a.benchOut
+	if out == "" {
+		var err error
+		if out, err = experiments.NextBenchPath("."); err != nil {
+			return err
+		}
+	}
+	if err := experiments.WriteBenchReport(out, rep); err != nil {
+		return err
+	}
+	fmt.Fprintf(a.out, "wrote %s\n", out)
+	return nil
 }
 
 // span wraps one experiment in a trace span (a no-op without -trace).
@@ -345,110 +389,102 @@ func (a *app) ensureFig14() ([]experiments.Fig14Row, error) {
 	return rows, nil
 }
 
-func (a *app) runFig11() error {
+func (a *app) runFig11() (any, *experiments.BenchReport, error) {
 	points, err := experiments.Fig11(experiments.Fig11Options{InputLen: a.inputLen * 4})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Fig11 = points
-	experiments.RenderFig11(os.Stdout, points)
-	fmt.Println()
-	return nil
+	experiments.RenderFig11(a.out, points)
+	fmt.Fprintln(a.out)
+	return points, nil, nil
 }
 
-func (a *app) runFig12() error {
+func (a *app) runFig12() (any, *experiments.BenchReport, error) {
 	points, err := experiments.Fig12(experiments.Fig12Options{InputLen: a.inputLen * 4})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Fig12 = points
-	experiments.RenderFig12(os.Stdout, points)
-	fmt.Println()
-	return nil
+	experiments.RenderFig12(a.out, points)
+	fmt.Fprintln(a.out)
+	return points, nil, nil
 }
 
-func (a *app) runFig13() error {
+func (a *app) runFig13() (any, *experiments.BenchReport, error) {
 	dse, err := a.ensureDSE()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Fig13 = dse
-	experiments.RenderFig13(os.Stdout, dse)
-	fmt.Println()
-	return nil
+	experiments.RenderFig13(a.out, dse)
+	fmt.Fprintln(a.out)
+	return dse, nil, nil
 }
 
-func (a *app) runTable5() error {
+func (a *app) runTable5() (any, *experiments.BenchReport, error) {
 	dse, err := a.ensureDSE()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	best := experiments.Table5(dse)
-	a.dump.Table5 = best
-	experiments.RenderTable5(os.Stdout, best)
-	fmt.Println()
-	return nil
+	experiments.RenderTable5(a.out, best)
+	fmt.Fprintln(a.out)
+	return best, nil, nil
 }
 
-func (a *app) runFig14() error {
+func (a *app) runFig14() (any, *experiments.BenchReport, error) {
 	rows, err := a.ensureFig14()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Fig14 = rows
-	experiments.RenderFig14(os.Stdout, rows)
-	fmt.Println()
-	return nil
+	experiments.RenderFig14(a.out, rows)
+	fmt.Fprintln(a.out)
+	return rows, nil, nil
 }
 
-func (a *app) runSummary() error {
+func (a *app) runSummary() (any, *experiments.BenchReport, error) {
 	rows, err := a.ensureFig14()
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	s := experiments.Summarize(rows)
-	a.dump.Summary = &s
-	experiments.RenderSummary(os.Stdout, s)
-	fmt.Println()
-	return nil
+	experiments.RenderSummary(a.out, s)
+	fmt.Fprintln(a.out)
+	return &s, nil, nil
 }
 
-func (a *app) runAblation() error {
+func (a *app) runAblation() (any, *experiments.BenchReport, error) {
 	rows, err := experiments.Ablation(experiments.AblationOptions{
-		Dataset:  a.ablationDataset,
+		Dataset:  a.dataset,
 		Sample:   a.sample,
 		InputLen: a.inputLen,
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Ablation = rows
-	experiments.RenderAblation(os.Stdout, a.ablationDataset, rows)
-	return nil
+	experiments.RenderAblation(a.out, a.dataset, rows)
+	return rows, nil, nil
 }
 
-func (a *app) runStride2() error {
+func (a *app) runStride2() (any, *experiments.BenchReport, error) {
 	rows, err := experiments.Stride2(experiments.Stride2Options{
 		Sample:   a.sample,
 		InputLen: a.inputLen,
 		Datasets: a.datasets,
 	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Stride2 = rows
-	fmt.Println()
-	experiments.RenderStride2(os.Stdout, rows)
-	return nil
+	fmt.Fprintln(a.out)
+	experiments.RenderStride2(a.out, rows)
+	return rows, nil, nil
 }
 
-func (a *app) runFaults() error {
+func (a *app) runFaults() (any, *experiments.BenchReport, error) {
 	rates, err := parseRates(a.faultRates)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	fopt := experiments.FaultsOptions{
-		Dataset:   a.faultsDataset,
+		Dataset:   a.dataset,
 		Sample:    a.sample,
 		InputLen:  a.inputLen,
 		Rates:     rates,
@@ -458,18 +494,16 @@ func (a *app) runFaults() error {
 	}
 	rows, err := experiments.Faults(fopt)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Faults = rows
-	experiments.RenderFaults(os.Stdout, fopt, rows)
-	fmt.Println()
-	return nil
+	experiments.RenderFaults(a.out, fopt, rows)
+	fmt.Fprintln(a.out)
+	return rows, nil, nil
 }
 
-// runPerf runs the canonical perf harness, writes the versioned BENCH
-// report, and — when -baseline names a previous report — compares the
-// counted metrics and fails on any regression beyond the thresholds.
-func (a *app) runPerf() error {
+// runPerf runs the canonical perf harness; its BENCH report is also its
+// -json result.
+func (a *app) runPerf() (any, *experiments.BenchReport, error) {
 	opt := experiments.PerfOptions{
 		Datasets: a.datasets,
 		Archs:    a.archs,
@@ -477,245 +511,82 @@ func (a *app) runPerf() error {
 		InputLen: a.inputLen,
 	}
 	if a.render {
-		opt.RenderTo = os.Stdout
+		opt.RenderTo = a.out
 	}
 	rep, err := experiments.Perf(opt)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Perf = rep
-	experiments.RenderPerf(os.Stdout, rep)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
-}
-
-// runThroughput runs the parallel-scan throughput sweep, writes its
-// BENCH-schema report, and — when -baseline names a previous throughput
-// report — compares the counted metrics (symbols and matches exactly,
-// allocations within the bounded threshold) against it.
-func (a *app) runThroughput() error {
-	workers, err := parseIntList(a.tpWorkers)
-	if err != nil {
-		return fmt.Errorf("-tp-workers: %v", err)
-	}
-	chunks, err := parseIntList(a.tpChunks)
-	if err != nil {
-		return fmt.Errorf("-tp-chunks: %v", err)
-	}
-	opt := experiments.ThroughputOptions{
-		Dataset:  a.tpDataset,
-		Sample:   a.sample,
-		InputLen: a.inputLen,
-		Inputs:   a.tpInputs,
-		Workers:  workers,
-		Chunks:   chunks,
-	}
-	res, rep, err := experiments.Throughput(opt)
-	if err != nil {
-		return err
-	}
-	a.dump.Throughput = res
-	experiments.RenderThroughput(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	experiments.RenderPerf(a.out, rep)
+	return rep, rep, nil
 }
 
 // runSoak exercises the long-lived scan service: a checkpoint/resume
 // session interrupted by forced restarts (exact-report correctness), then
-// an overload phase with concurrent scanners and hot reloads. The counted
-// correctness cell goes into a BENCH-schema report; -baseline compares it
-// against a previous soak run.
-func (a *app) runSoak() error {
-	opt := experiments.SoakOptions{
-		Dataset:  a.soakDataset,
+// an overload phase with concurrent scanners and hot reloads.
+func (a *app) runSoak() (any, *experiments.BenchReport, error) {
+	res, rep, err := experiments.Soak(experiments.SoakOptions{
+		Dataset:  a.dataset,
 		Sample:   a.sample,
 		InputLen: a.inputLen,
 		Restarts: a.soakRestarts,
 		Duration: a.soakDuration,
 		Scanners: a.soakScanners,
 		Reloads:  a.soakReloads,
-	}
-	res, rep, err := experiments.Soak(opt)
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Soak = res
-	experiments.RenderSoak(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	experiments.RenderSoak(a.out, res)
+	return res, rep, nil
 }
 
 // runObs measures the observability layer's own cost: the disabled-path
 // allocation contract (counted, pinned at zero), the live throughput
 // overhead of an attached flight recorder (informational), and the
-// bit-exactness of the traced energy partition (counted). The report goes
-// into a BENCH-schema file; -baseline compares a previous obs run.
-func (a *app) runObs() error {
-	opt := experiments.ObsOptions{
-		Dataset:  a.obsDataset,
+// bit-exactness of the traced energy partition (counted).
+func (a *app) runObs() (any, *experiments.BenchReport, error) {
+	res, rep, err := experiments.Obs(experiments.ObsOptions{
+		Dataset:  a.dataset,
 		Sample:   a.sample,
 		InputLen: a.inputLen,
 		Scans:    a.obsScans,
 		Rounds:   a.obsRounds,
-	}
-	res, rep, err := experiments.Obs(opt)
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Obs = res
-	experiments.RenderObs(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	experiments.RenderObs(a.out, res)
+	return res, rep, nil
 }
 
-// runCluster runs the fleet soak: an in-process cluster of bvapd nodes
-// behind a consistent-hash ring, streams migrating across forced node
-// kills via wire checkpoints, rolling coordinated reloads, and a tenant
-// quota pressure phase. The counted exactly-once cell goes into a
-// BENCH-schema report; -baseline compares a previous cluster run.
-func (a *app) runCluster() error {
-	opt := experiments.ClusterSoakOptions{
-		Dataset:   a.clusterDataset,
-		Nodes:     a.clusterNodes,
-		Streams:   a.clusterStreams,
-		Kills:     a.clusterKills,
-		Publishes: a.clusterPublishes,
-		Sample:    a.sample,
-		InputLen:  a.inputLen,
-	}
-	res, rep, err := experiments.ClusterSoak(opt)
+// runFleetObs runs the fleet observability gate: cross-node trace
+// stitching with zero orphans, exact metrics federation, SLO burn-rate
+// fire/resolve on an injected regression, and the zero-alloc disabled
+// tracing path.
+func (a *app) runFleetObs() (any, *experiments.BenchReport, error) {
+	res, rep, err := experiments.FleetObs(experiments.FleetObsOptions{
+		Dataset:  a.dataset,
+		Nodes:    a.fleetobsNodes,
+		Scans:    a.fleetobsScans,
+		Sample:   a.sample,
+		InputLen: a.inputLen,
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Cluster = res
-	experiments.RenderClusterSoak(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	experiments.RenderFleetObs(a.out, res)
+	return res, rep, nil
 }
 
 // runHeal runs the self-healing soak: gossip membership with a standby
-// joining and a node force-killed mid-stream, exactly-once delivery
-// recovered purely through replicated checkpoints and session sync (no
-// driver-side migration). With -heal-inject-loss the run MUST fail — CI
-// pins the non-zero exit as the negative control.
-func (a *app) runHeal() error {
-	opt := experiments.HealSoakOptions{
-		Dataset:    a.healDataset,
+// joining, a coordinated publish, and a node force-killed mid-stream;
+// exactly-once delivery is recovered purely through replicated checkpoints
+// and session sync (no driver-side migration). With -heal-inject-loss the
+// run MUST fail — CI pins the non-zero exit as the negative control.
+func (a *app) runHeal() (any, *experiments.BenchReport, error) {
+	res, rep, err := experiments.HealSoak(experiments.HealSoakOptions{
+		Dataset:    a.dataset,
 		Nodes:      a.healNodes,
 		Streams:    a.healStreams,
 		Kills:      a.healKills,
@@ -724,175 +595,43 @@ func (a *app) runHeal() error {
 		InjectLoss: a.healInjectLoss,
 		Sample:     a.sample,
 		InputLen:   a.inputLen,
-	}
-	res, rep, err := experiments.HealSoak(opt)
+	})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	a.dump.Heal = res
-	experiments.RenderHealSoak(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	experiments.RenderHealSoak(a.out, res)
+	return res, rep, nil
 }
 
 // runRebar runs the curated competitive conformance suite: every case's
 // declared per-engine match count is asserted before any timing is
-// trusted, the cells go into a BENCH-schema report, and any count
-// mismatch fails the run after the report is rendered and written.
-func (a *app) runRebar() error {
-	var engines []string
-	if strings.TrimSpace(a.rebarEngines) != "" {
-		for _, e := range strings.Split(a.rebarEngines, ",") {
-			engines = append(engines, strings.TrimSpace(e))
-		}
-	}
+// trusted, and a count mismatch comes back with the full result and report
+// so the failing run is rendered and archived before it fails.
+func (a *app) runRebar() (any, *experiments.BenchReport, error) {
 	res, rep, err := experiments.Rebar(experiments.RebarOptions{
 		Dir:     a.rebarDir,
 		Filter:  a.rebarFilter,
-		Engines: engines,
+		Engines: a.rebarEngines,
 		Reps:    a.rebarReps,
 	})
-	if err != nil && res == nil {
-		return err // load/config error: nothing to render
+	if res == nil {
+		return nil, nil, err // load/config error: nothing to render
 	}
-	a.dump.Rebar = res
-	experiments.RenderRebar(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		var perr error
-		out, perr = experiments.NextBenchPath(".")
-		if perr != nil {
-			return perr
-		}
-	}
-	if werr := experiments.WriteBenchReport(out, rep); werr != nil {
-		return werr
-	}
-	fmt.Printf("wrote %s\n", out)
-	if err != nil {
-		return err // count mismatches: non-zero exit after archiving the run
-	}
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
+	experiments.RenderRebar(a.out, res)
+	return res, rep, err
 }
 
-// parseIntList parses a comma-separated list of positive ints; an empty
-// string selects the experiment's defaults (nil).
-func parseIntList(s string) ([]int, error) {
+// splitList parses a comma-separated flag value; an empty string selects
+// the experiment's defaults (nil).
+func splitList(s string) []string {
 	if strings.TrimSpace(s) == "" {
-		return nil, nil
+		return nil
 	}
-	var out []int
+	var out []string
 	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad entry %q (want positive integers)", f)
-		}
-		out = append(out, n)
+		out = append(out, strings.TrimSpace(f))
 	}
-	return out, nil
-}
-
-// runFleetObs runs the fleet observability gate: cross-node trace
-// stitching with zero orphans, exact metrics federation, SLO burn-rate
-// fire/resolve on an injected regression, and the zero-alloc disabled
-// tracing path.
-func (a *app) runFleetObs() error {
-	opt := experiments.FleetObsOptions{
-		Dataset:  a.fleetobsDataset,
-		Nodes:    a.fleetobsNodes,
-		Scans:    a.fleetobsScans,
-		Sample:   a.sample,
-		InputLen: a.inputLen,
-	}
-	res, rep, err := experiments.FleetObs(opt)
-	if err != nil {
-		return err
-	}
-	a.dump.FleetObs = res
-	experiments.RenderFleetObs(os.Stdout, res)
-
-	out := a.benchOut
-	if out == "" {
-		out, err = experiments.NextBenchPath(".")
-		if err != nil {
-			return err
-		}
-	}
-	if err := experiments.WriteBenchReport(out, rep); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-
-	if a.baselinePath != "" {
-		base, err := experiments.ReadBenchReport(a.baselinePath)
-		if err != nil {
-			return err
-		}
-		regs := experiments.CompareBench(rep, base, experiments.Thresholds{})
-		experiments.RenderRegressions(os.Stdout, regs)
-		if len(regs) > 0 {
-			return fmt.Errorf("%d counted metric(s) regressed vs %s", len(regs), a.baselinePath)
-		}
-	}
-	return nil
-}
-
-// jsonResults is the machine-readable form of a bvapbench run, for plotting
-// the figures outside this repository.
-type jsonResults struct {
-	Fig11      []experiments.Fig11Point       `json:"fig11,omitempty"`
-	Fig12      []experiments.Fig12Point       `json:"fig12,omitempty"`
-	Fig13      []experiments.DSEPoint         `json:"fig13,omitempty"`
-	Table5     []experiments.BestParams       `json:"table5,omitempty"`
-	Fig14      []experiments.Fig14Row         `json:"fig14,omitempty"`
-	Summary    *experiments.Summary           `json:"summary,omitempty"`
-	Ablation   []experiments.AblationRow      `json:"ablation,omitempty"`
-	Stride2    []experiments.Stride2Row       `json:"stride2,omitempty"`
-	Faults     []experiments.FaultsRow        `json:"faults,omitempty"`
-	Perf       *experiments.BenchReport       `json:"perf,omitempty"`
-	Throughput *experiments.ThroughputResult  `json:"throughput,omitempty"`
-	Soak       *experiments.SoakResult        `json:"soak,omitempty"`
-	Obs        *experiments.ObsResult         `json:"obs,omitempty"`
-	Cluster    *experiments.ClusterSoakResult `json:"cluster,omitempty"`
-	FleetObs   *experiments.FleetObsResult    `json:"fleetobs,omitempty"`
-	Heal       *experiments.HealSoakResult    `json:"heal,omitempty"`
-	Rebar      *experiments.RebarResult       `json:"rebar,omitempty"`
+	return out
 }
 
 // parseRates parses the -fault-rates list; an empty string selects the
@@ -919,14 +658,14 @@ func parseRates(s string) ([]float64, error) {
 // a per-stage telemetry sink attached and prints the energy attribution
 // table: which pipeline stage (state match, transition, BVM read/swap,
 // MFCB routing, I/O buffering, leakage...) consumed which share.
-func (a *app) runBreakdown() error {
+func (a *app) runBreakdown() (any, *experiments.BenchReport, error) {
 	arch, err := bvap.ParseArchitecture(a.archName)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	d, err := bvap.DatasetByName(a.breakdownDataset)
+	d, err := bvap.DatasetByName(a.dataset)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	patterns := d.Patterns(a.sample)
 	input := d.Input(a.inputLen, patterns)
@@ -937,16 +676,16 @@ func (a *app) runBreakdown() error {
 		engine, err := bvap.Compile(patterns,
 			bvap.WithMetrics(a.sess.Registry), bvap.WithTracer(a.sess.Tracer))
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		sim, err = engine.NewSimulator(arch)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 	default:
 		sim, err = bvap.NewBaselineSimulator(arch, patterns)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
 
@@ -960,9 +699,9 @@ func (a *app) runBreakdown() error {
 	r := sim.Result()
 
 	total := sink.TotalStageEnergyPJ()
-	fmt.Printf("energy attribution: %s over %s (%d regexes, %d bytes)\n",
-		arch, a.breakdownDataset, len(patterns), len(input))
-	fmt.Printf("%-14s %16s %8s\n", "stage", "energy(pJ)", "share")
+	fmt.Fprintf(a.out, "energy attribution: %s over %s (%d regexes, %d bytes)\n",
+		arch, a.dataset, len(patterns), len(input))
+	fmt.Fprintf(a.out, "%-14s %16s %8s\n", "stage", "energy(pJ)", "share")
 	for s := hwsim.Stage(0); s < hwsim.NumStages; s++ {
 		pj := sink.StageEnergyPJ(s)
 		if pj == 0 {
@@ -972,14 +711,9 @@ func (a *app) runBreakdown() error {
 		if total > 0 {
 			share = 100 * pj / total
 		}
-		fmt.Printf("%-14s %16.2f %7.2f%%\n", s, pj, share)
+		fmt.Fprintf(a.out, "%-14s %16.2f %7.2f%%\n", s, pj, share)
 	}
-	fmt.Printf("%-14s %16.2f\n", "total", total)
-	fmt.Printf("%s\n", r)
-	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bvapbench:", err)
-	os.Exit(1)
+	fmt.Fprintf(a.out, "%-14s %16.2f\n", "total", total)
+	fmt.Fprintf(a.out, "%s\n", r)
+	return nil, nil, nil
 }

@@ -412,11 +412,16 @@ func TestNodeScanRoutesTenantQuota(t *testing.T) {
 		TenantQuotas: map[string]bvap.QuotaConfig{"limited": {RatePerSec: 0.001, Burst: 2}},
 	})
 	hc := n.srv.Client()
-	post := func(tenant string) int {
-		req, _ := http.NewRequest(http.MethodPost, n.srv.URL+"/cluster/scan",
-			bytes.NewReader([]byte(`{"input":"eGFiYmN4"}`))) // "xabbcx"
-		if tenant != "" {
-			req.Header.Set(TenantHeader, tenant)
+	// post scans "xabbcx" as header (the X-Bvap-Tenant header) and
+	// bodyTenant (the request's JSON tenant field); either may be empty.
+	post := func(header, bodyTenant string) int {
+		body := `{"input":"eGFiYmN4"}`
+		if bodyTenant != "" {
+			body = `{"input":"eGFiYmN4","tenant":"` + bodyTenant + `"}`
+		}
+		req, _ := http.NewRequest(http.MethodPost, n.srv.URL+"/cluster/scan", bytes.NewReader([]byte(body)))
+		if header != "" {
+			req.Header.Set(TenantHeader, header)
 		}
 		resp, err := hc.Do(req)
 		if err != nil {
@@ -425,14 +430,20 @@ func TestNodeScanRoutesTenantQuota(t *testing.T) {
 		defer resp.Body.Close()
 		return resp.StatusCode
 	}
-	if post("limited") != http.StatusOK || post("limited") != http.StatusOK {
+	if post("limited", "") != http.StatusOK || post("limited", "") != http.StatusOK {
 		t.Fatal("limited tenant's burst refused")
 	}
-	if got := post("limited"); got != http.StatusTooManyRequests {
+	if got := post("limited", ""); got != http.StatusTooManyRequests {
 		t.Fatalf("over-quota scan returned %d, want 429", got)
 	}
+	if got := post("", "limited"); got != http.StatusTooManyRequests {
+		t.Fatalf("over-quota scan naming its tenant in the body returned %d, want 429", got)
+	}
+	if got := post("other", "limited"); got != http.StatusOK {
+		t.Fatalf("header tenant must take precedence over the body's; got %d", got)
+	}
 	for i := 0; i < 5; i++ {
-		if got := post("other"); got != http.StatusOK {
+		if got := post("other", ""); got != http.StatusOK {
 			t.Fatalf("unmetered tenant refused with %d; quotas must be per tenant", got)
 		}
 	}

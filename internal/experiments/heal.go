@@ -2,10 +2,11 @@ package experiments
 
 // The heal soak is the self-healing fleet's proof: N in-process bvapd
 // nodes under gossip membership, M concurrent BVAP-S streams, a standby
-// node joining mid-run and a node force-killed mid-stream — WITHOUT any
-// driver-side migration. Unlike the cluster soak (where the driver holds
-// the wire checkpoint and re-places streams itself), the heal driver
-// persists nothing but a position and a match log: recovery is entirely
+// node joining mid-run, a coordinated publish of a new pattern set across
+// the live fleet, and a node force-killed mid-stream — WITHOUT any
+// driver-side migration. The driver never holds a wire checkpoint and
+// never re-places a stream itself; it persists nothing but a position and
+// a match log, and recovery is entirely
 //
 //	owner := GET /cluster/ring?key=id        (any live node)
 //	POST owner /cluster/session/sync {id, have}
@@ -13,10 +14,13 @@ package experiments
 // and the fleet supplies the durable bytes from replicated checkpoint
 // records (R-way chain replication at quorum), re-delivering the match
 // delta past the driver's durable position. The counted claim: across a
-// join (ownership hand-off) and a kill (orphan adoption), every stream's
-// delivered log equals the origin engine's uninterrupted FindAll, byte
-// for byte, with zero checkpoint loss, and survivor membership converges
-// (equal epochs, victim dead) within the probe-interval bound.
+// join (ownership hand-off), a publish and a kill (orphan adoption), every
+// stream's delivered log equals the origin engine's uninterrupted FindAll,
+// byte for byte, with zero checkpoint loss, and survivor membership
+// converges (equal epochs, victim dead) within the probe-interval bound.
+// The publish lands before the kill, so the adoption resumes a stream
+// checkpointed under the origin generation on a node that already serves
+// the next one.
 //
 // With -heal-inject-loss the replication factor drops to 1, so killing a
 // stream's owner destroys the only durable record: the soak must then
@@ -131,6 +135,9 @@ type HealSoakResult struct {
 	Handoffs   uint64 `json:"handoffs"`
 	Adoptions  uint64 `json:"adoptions"`
 	Recoveries int    `json:"recoveries"` // driver-side sync recoveries
+
+	// Coordinated publishes committed across the live fleet mid-stream.
+	PublishesOK int `json:"publishes_ok"`
 
 	// Membership convergence after the kill: survivors agree on epoch
 	// with the victim dead, within BoundMillis.
@@ -421,7 +428,7 @@ func HealSoak(opt HealSoakOptions) (*HealSoakResult, *BenchReport, error) {
 		res.ReferenceReports += uint64(len(oracles[i]))
 	}
 
-	if err := runHealStreams(opt, fleet, standby, ids, corpora, oracles, res); err != nil {
+	if err := runHealStreams(opt, fleet, standby, patterns, ids, corpora, oracles, res); err != nil {
 		return nil, nil, err
 	}
 
@@ -433,6 +440,9 @@ func HealSoak(opt HealSoakOptions) (*HealSoakResult, *BenchReport, error) {
 		res.Handoffs += h.Handoffs
 		res.Adoptions += h.Adoptions
 		res.StreamsOut += m.origin.StreamsOut()
+		if cur := m.svc.Engine(); cur != m.origin {
+			res.StreamsOut += cur.StreamsOut()
+		}
 		if h.Epoch > res.FinalEpoch {
 			res.FinalEpoch = h.Epoch
 		}
@@ -480,9 +490,10 @@ func (g *healGate) arrive() {
 func (g *healGate) release() { g.doneOnce.Do(func() { close(g.done) }) }
 
 // runHealStreams drives all streams while the chaos goroutine joins the
-// standby (pinned to the stream whose ownership moves) and kills the
-// owner of the kill-pinned stream mid-flight.
-func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMember, ids []string, corpora [][]byte, oracles [][]bvap.Match, res *HealSoakResult) error {
+// standby (pinned to the stream whose ownership moves), publishes a new
+// pattern set to the live fleet, and kills the owner of the kill-pinned
+// stream mid-flight.
+func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMember, patterns []string, ids []string, corpora [][]byte, oracles [][]bvap.Match, res *HealSoakResult) error {
 	type streamOut struct {
 		log        []cluster.Match
 		recoveries int
@@ -574,6 +585,19 @@ func runHealStreams(opt HealSoakOptions, fleet *healSoakFleet, standby []*healMe
 				m.node.Rebalance(context.Background())
 			}
 		}
+		// A coordinated publish across the live fleet: the base set plus one
+		// pattern the corpora never match, so in-flight sessions keep their
+		// origin engine, sessions opened from here on run the new
+		// generation, and every delivered log must stay byte-exact.
+		coord := cluster.NewCoordinator(fleet.drv, nil)
+		pats := append(append([]string{}, patterns...), "hlgen1y{3}")
+		if _, err := coord.PublishTo(context.Background(), fleet.liveURLs(), "heal-publish-1", pats); err != nil {
+			chaosErr <- fmt.Errorf("heal soak: publish: %w", err)
+			return
+		}
+		progressMu.Lock()
+		res.PublishesOK++
+		progressMu.Unlock()
 		for k := 0; k < opt.Kills; k++ {
 			if k == 0 && killGate != nil {
 				select {
@@ -844,12 +868,13 @@ func healBench(opt HealSoakOptions, res *HealSoakResult) *BenchReport {
 		Arch:     "heal-membership",
 		Patterns: res.Patterns,
 		Stalls: map[string]uint64{
-			"replicas":    uint64(res.Replicas),
-			"handoffs":    res.Handoffs,
-			"adoptions":   res.Adoptions,
-			"epoch":       res.FinalEpoch,
-			"converge_ms": uint64(res.ConvergeMillis),
-			"bound_ms":    uint64(res.BoundMillis),
+			"replicas":     uint64(res.Replicas),
+			"handoffs":     res.Handoffs,
+			"publishes_ok": uint64(res.PublishesOK),
+			"adoptions":    res.Adoptions,
+			"epoch":        res.FinalEpoch,
+			"converge_ms":  uint64(res.ConvergeMillis),
+			"bound_ms":     uint64(res.BoundMillis),
 		},
 	})
 	rep.PeakRSSBytes = peakRSSBytes()
@@ -862,8 +887,8 @@ func RenderHealSoak(w io.Writer, res *HealSoakResult) {
 		res.Nodes, res.Joins, res.Kills, res.Streams, res.Patterns, res.Replicas)
 	fmt.Fprintf(w, "  exactly-once: %d symbols, %d reports (%d reference), exact=%v with NO driver-side migration\n",
 		res.StreamSymbols, res.StreamReports, res.ReferenceReports, res.ReportsExact)
-	fmt.Fprintf(w, "  self-healing: %d handoffs, %d adoptions, %d driver sync recoveries\n",
-		res.Handoffs, res.Adoptions, res.Recoveries)
+	fmt.Fprintf(w, "  self-healing: %d handoffs, %d adoptions, %d driver sync recoveries, %d coordinated publishes\n",
+		res.Handoffs, res.Adoptions, res.Recoveries, res.PublishesOK)
 	fmt.Fprintf(w, "  membership:   converged in %dms (bound %dms), final epoch %d\n",
 		res.ConvergeMillis, res.BoundMillis, res.FinalEpoch)
 	fmt.Fprintf(w, "  hygiene:      %d sessions left, %d pooled streams checked out on survivors\n",

@@ -5,14 +5,28 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
+// settleClusterGoroutines waits up to 5s for the goroutine count to fall
+// back to the pre-soak baseline — HTTP servers, chaos goroutines and stream
+// drivers all wind down asynchronously.
+func settleClusterGoroutines(baseline int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(20 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
 // TestHealSoak is the self-healing acceptance gate: gossip membership, a
-// standby joining mid-stream (forcing a session hand-off), a node killed
-// mid-stream WITHOUT driver-side migration (forcing adoption from
-// replicated checkpoints), and every stream's delivered log byte-identical
-// to the origin engine's uninterrupted reference, with survivors converged
-// within the probe-interval bound and nothing leaked.
+// standby joining mid-stream (forcing a session hand-off), a coordinated
+// publish across the live fleet, a node killed mid-stream WITHOUT
+// driver-side migration (forcing adoption from replicated checkpoints on
+// a node serving the new generation), and every stream's delivered log
+// byte-identical to the origin engine's uninterrupted reference, with
+// survivors converged within the probe-interval bound and nothing leaked.
 func TestHealSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heal soak is a wall-clock experiment")
@@ -40,6 +54,9 @@ func TestHealSoak(t *testing.T) {
 	}
 	if res.Recoveries == 0 {
 		t.Error("a node was killed but no driver ran sync recovery")
+	}
+	if res.PublishesOK != 1 {
+		t.Errorf("publishes_ok = %d, want the one mid-stream coordinated publish", res.PublishesOK)
 	}
 	if res.ConvergeMillis > res.BoundMillis {
 		t.Errorf("membership converged in %dms, bound %dms", res.ConvergeMillis, res.BoundMillis)

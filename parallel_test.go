@@ -504,6 +504,42 @@ func TestScanBatchSteadyStateAllocs(t *testing.T) {
 	t.Logf("ScanBatch allocs/batch: 8 inputs %.1f, 64 inputs %.1f", a8, a64)
 }
 
+// TestFindAllParallelSteadyStateAllocs is the chunk-parallel counterpart:
+// once the stream pool is warm, chunk scans are pooled, so the allocations
+// of one FindAllParallel call must not grow with the number of chunks
+// (match-free input, so no match storage is charged).
+func TestFindAllParallelSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop Puts randomly; allocation counts are meaningless")
+	}
+	ctx := context.Background()
+	e := MustCompile([]string{"ab{2}c"})
+	// As above: no GC, so the pool is never emptied mid-measurement.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opts := &ParallelOptions{Workers: 2, ChunkSize: 4096}
+	mk := func(chunks int) []byte {
+		return []byte(strings.Repeat("x", chunks*opts.ChunkSize)) // no matches
+	}
+	small, large := mk(8), mk(64)
+	run := func(input []byte) float64 {
+		return testing.AllocsPerRun(50, func() {
+			ms, err := e.FindAllParallel(ctx, input, opts)
+			if err != nil || ms != nil {
+				t.Fatalf("FindAllParallel = %v, %v; want no matches", ms, err)
+			}
+		})
+	}
+	run(large) // warm the pool
+	a8, a64 := run(small), run(large)
+	// Fixed per-call overhead (plan, result slice, worker bookkeeping) is
+	// allowed; per-chunk allocations are not. Slack of 2 absorbs a stray
+	// pool miss; one allocation per chunk would add 56.
+	if a64 > a8+2 {
+		t.Fatalf("FindAllParallel allocations grow with chunk count: 8 chunks → %.1f allocs, 64 chunks → %.1f", a8, a64)
+	}
+	t.Logf("FindAllParallel allocs/call: 8 chunks %.1f, 64 chunks %.1f", a8, a64)
+}
+
 func BenchmarkScanBatch(b *testing.B) {
 	ctx := context.Background()
 	e := MustCompile([]string{"ab{2,5}c", "b{3}"})
