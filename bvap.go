@@ -112,9 +112,11 @@ type Report struct {
 type Engine struct {
 	res      *compiler.Result
 	patterns []string
+	// core is the merged scan table every Stream runs (see nbva.Merged).
+	core *nbva.Merged
 
-	// spool pools Streams for the batch and chunk scanners so steady-state
-	// scanning allocates nothing per input; refPool pools independent
+	// spool pools Streams for the one-shot, batch and chunk scanners so
+	// steady-state scanning allocates nothing per input; refPool pools independent
 	// reference-matcher sets for the shard cross-check ladder (swmatch
 	// matchers are stateful, so each concurrent verification owns a set).
 	spool   *parascan.Pool[*Stream]
@@ -184,13 +186,23 @@ func (e *Engine) getStream() *Stream {
 	return e.spool.Get()
 }
 
+// pooledStream checks out a stream ready for a fresh input: start of
+// stream and no budget. Pair it with a deferred putStream.
+func (e *Engine) pooledStream() *Stream {
+	s := e.getStream()
+	s.Reset()
+	s.budget = Budget{}
+	return s
+}
+
 func (e *Engine) putStream(s *Stream) {
 	e.spool.Put(s)
 	e.streamsOut.Add(-1)
 }
 
 // StreamsOut returns the number of pooled streams currently checked out by
-// in-flight ScanBatch / FindAllParallel shards. It is zero whenever no
+// in-flight FindAll / Count / FindAllContext calls and ScanBatch /
+// FindAllParallel shards. It is zero whenever no
 // scan is in flight — even after shards that panicked — and exists for
 // leak detection in tests and the service soak harness.
 func (e *Engine) StreamsOut() int64 { return e.streamsOut.Load() }
@@ -211,7 +223,7 @@ func (e *Engine) ScanEnergyEstimatePJ(inputBytes int) (float64, bool) {
 // newEngine wraps a compilation result with the engine's concurrency
 // plumbing. Pool constructors run lazily, on first use.
 func newEngine(res *compiler.Result, patterns []string) *Engine {
-	e := &Engine{res: res, patterns: append([]string(nil), patterns...)}
+	e := &Engine{res: res, patterns: append([]string(nil), patterns...), core: nbva.NewMerged(res.Machines)}
 	e.fingerprint = computeFingerprint(res, e.patterns)
 	e.spool = parascan.NewPool(e.NewStream)
 	e.refPool = parascan.NewPool(e.crossCheckRefs)
@@ -278,7 +290,8 @@ func (e *Engine) WriteConfig(w io.Writer) error { return e.res.Config.Write(w) }
 // FindAll scans input and returns every match of every pattern, ordered by
 // end position (and by pattern index within a position).
 func (e *Engine) FindAll(input []byte) []Match {
-	s := e.NewStream()
+	s := e.pooledStream()
+	defer e.putStream(s)
 	var out []Match
 	for i, b := range input {
 		for _, p := range s.Step(b) {
@@ -290,7 +303,8 @@ func (e *Engine) FindAll(input []byte) []Match {
 
 // Count returns the total number of matches in input across all patterns.
 func (e *Engine) Count(input []byte) int {
-	s := e.NewStream()
+	s := e.pooledStream()
+	defer e.putStream(s)
 	n := 0
 	for _, b := range input {
 		n += len(s.Step(b))
@@ -316,10 +330,9 @@ type streamInstr struct {
 // Stream matches incrementally over a byte stream. Streams are not safe for
 // concurrent use.
 type Stream struct {
-	engine  *Engine
-	runners []*nbva.AHRunner
-	hits    []int
-	inst    *streamInstr
+	engine *Engine
+	core   *nbva.MergedRunner
+	inst   *streamInstr
 
 	// budget / symbolsRun implement the run-time symbol budget of
 	// ScanContext (see SetBudget in context.go).
@@ -329,15 +342,7 @@ type Stream struct {
 
 // NewStream creates an independent matching stream.
 func (e *Engine) NewStream() *Stream {
-	s := &Stream{engine: e}
-	for _, m := range e.res.Machines {
-		if m == nil {
-			s.runners = append(s.runners, nil)
-			continue
-		}
-		s.runners = append(s.runners, nbva.NewAHRunner(m))
-	}
-	return s
+	return &Stream{engine: e, core: e.core.NewRunner()}
 }
 
 // Instrument attaches a metrics registry to this stream: a symbol counter,
@@ -359,40 +364,25 @@ func (s *Stream) Instrument(reg *telemetry.Registry) {
 // Step consumes one byte and returns the indices of the patterns for which
 // a match ends at it. The returned slice is reused across calls.
 func (s *Stream) Step(b byte) []int {
-	s.hits = s.hits[:0]
-	for i, r := range s.runners {
-		if r != nil && r.Step(b) {
-			s.hits = append(s.hits, i)
-		}
-	}
+	hits := s.core.Step(b)
 	if s.inst != nil {
 		s.inst.symbols.Inc()
-		if len(s.hits) > 0 {
-			s.inst.matches.Add(uint64(len(s.hits)))
+		if len(hits) > 0 {
+			s.inst.matches.Add(uint64(len(hits)))
 		}
-		active := 0
-		for _, r := range s.runners {
-			if r != nil {
-				active += r.ActiveStates()
-			}
-		}
-		s.inst.active.Set(float64(active))
+		s.inst.active.Set(float64(s.core.ActiveStates()))
 	}
-	return s.hits
+	return hits
 }
 
-// Reset returns the stream to its start-of-input state: runner
-// configurations return to start-of-stream AND the ScanContext symbol
+// Reset returns the stream to its start-of-input state: the matching
+// configuration returns to start-of-stream AND the ScanContext symbol
 // consumption is cleared, so a reused (pooled) stream begins every input
 // with its full budget. The budget limit itself is configuration, not
 // state, and survives Reset; between ScanContext calls without a Reset,
 // consumption stays cumulative (see SetBudget).
 func (s *Stream) Reset() {
-	for _, r := range s.runners {
-		if r != nil {
-			r.Reset()
-		}
-	}
+	s.core.Reset()
 	s.symbolsRun = 0
 }
 

@@ -239,3 +239,24 @@ func TestConcurrentStreams(t *testing.T) {
 		}
 	}
 }
+
+// NewStream allocates a fixed number of blocks whatever the size of the
+// compiled set: the merged core's vectors live in one per-stream arena
+// rather than two allocations per counting state.
+func TestNewStreamAllocsIndependentOfStates(t *testing.T) {
+	d, err := DatasetByName("Snort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := MustCompile(d.Patterns(20))
+	large := MustCompile(d.Patterns(200))
+	if small.Report().TotalBVSTEs >= large.Report().TotalBVSTEs {
+		t.Fatalf("sets do not differ in counting states: %d vs %d",
+			small.Report().TotalBVSTEs, large.Report().TotalBVSTEs)
+	}
+	a := testing.AllocsPerRun(20, func() { small.NewStream() })
+	b := testing.AllocsPerRun(20, func() { large.NewStream() })
+	if a != b {
+		t.Fatalf("NewStream allocates %.0f times for 20 patterns and %.0f for 200", a, b)
+	}
+}

@@ -44,14 +44,7 @@ func (ck *StreamCheckpoint) Symbols() int64 { return ck.symbols }
 
 // Checkpoint captures the stream's current matching state.
 func (s *Stream) Checkpoint() *StreamCheckpoint {
-	ck := &StreamCheckpoint{engine: s.engine, symbols: s.symbolsRun}
-	ck.snaps = make([]*nbva.RunnerSnapshot, len(s.runners))
-	for i, r := range s.runners {
-		if r != nil {
-			ck.snaps[i] = r.Snapshot()
-		}
-	}
-	return ck
+	return &StreamCheckpoint{engine: s.engine, snaps: s.core.Snapshots(), symbols: s.symbolsRun}
 }
 
 // Restore rewinds the stream to a checkpoint taken on any stream of the
@@ -63,11 +56,7 @@ func (s *Stream) Restore(ck *StreamCheckpoint) error {
 	if ck == nil || ck.engine != s.engine {
 		return fmt.Errorf("bvap: checkpoint belongs to a different engine")
 	}
-	for i, r := range s.runners {
-		if r != nil && ck.snaps[i] != nil {
-			r.Restore(ck.snaps[i])
-		}
-	}
+	s.core.Restore(ck.snaps)
 	s.symbolsRun = ck.symbols
 	return nil
 }

@@ -2,8 +2,13 @@ package bvap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math/rand"
 	"testing"
+
+	"bvap/internal/nbva"
 )
 
 // wireSession opens a session with a match collector, feeds prefix bytes,
@@ -68,6 +73,187 @@ func TestSessionCheckpointWireRoundTrip(t *testing.T) {
 			t.Fatalf("match %d = %+v, oracle %+v — wire resume must be byte-identical", i, got[i], oracle[i])
 		}
 	}
+}
+
+// runnerSessionWire encodes the session checkpoint that one nbva.AHRunner
+// per machine, stepped over the same input, would produce: the encoding
+// Stream used before the merged scan core, built without Stream.
+func runnerSessionWire(t *testing.T, e *Engine, gen uint64, runners []*nbva.AHRunner, pos int) []byte {
+	t.Helper()
+	snaps := make([]*nbva.RunnerSnapshot, len(runners))
+	for i, r := range runners {
+		if r != nil {
+			snaps[i] = r.Snapshot()
+		}
+	}
+	ck := &SessionCheckpoint{eng: e, gen: gen, ck: &StreamCheckpoint{engine: e, snaps: snaps, symbols: int64(pos)}}
+	wire, err := ck.MarshalBinary()
+	if err != nil {
+		t.Fatalf("MarshalBinary of per-machine snapshots: %v", err)
+	}
+	return wire
+}
+
+// resumeMatches resumes wire on svc, feeds input[pos:] and returns the
+// matches delivered after the resume.
+func resumeMatches(t *testing.T, svc *Service, wire []byte, input []byte, pos int) []Match {
+	t.Helper()
+	var got []Match
+	rs, err := svc.ResumeSessionBytes(wire, &SessionConfig{
+		CheckpointInterval: 1 << 20,
+		OnMatch:            func(m Match) { got = append(got, m) },
+	})
+	if err != nil {
+		t.Fatalf("ResumeSessionBytes at %d: %v", pos, err)
+	}
+	if err := rs.Feed(nil, input[pos:]); err != nil {
+		t.Fatalf("Feed after resume at %d: %v", pos, err)
+	}
+	rs.Close()
+	return got
+}
+
+// The merged scan core keeps the checkpoint wire byte-identical to the
+// per-machine runner encoding, so nodes running either engine resume each
+// other's sessions: at several positions the session's bytes equal those
+// built from per-machine AHRunner snapshots, and resuming from the latter
+// continues with the matches an uninterrupted scan finds.
+func TestCheckpointWireMatchesPerMachineRunners(t *testing.T) {
+	d, err := DatasetByName("Snort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snort := d.Patterns(200)
+	anchored := []string{"^ab{3}c", "ab{2,4}c", "^(ab|cd){2,5}e", "((", "^a.{3}b", "c(d|a){2}b"}
+	r := rand.New(rand.NewSource(7))
+	alpha := make([]byte, 1200)
+	for i := range alpha {
+		alpha[i] = "abcde"[r.Intn(5)]
+	}
+	copy(alpha, "abbbcdabcde")
+	for _, tc := range []struct {
+		name     string
+		patterns []string
+		input    []byte
+	}{
+		{"snort", snort, d.Input(12<<10, snort)},
+		{"anchored", anchored, alpha},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := NewService(tc.patterns, nil)
+			if err != nil {
+				t.Fatalf("NewService: %v", err)
+			}
+			defer svc.Close()
+			e := svc.Engine()
+			oracle := e.FindAll(tc.input)
+			runners := make([]*nbva.AHRunner, len(e.res.Machines))
+			for i, m := range e.res.Machines {
+				if m != nil {
+					runners[i] = nbva.NewAHRunner(m)
+				}
+			}
+			ss, err := svc.NewSession(&SessionConfig{CheckpointInterval: 1 << 20})
+			if err != nil {
+				t.Fatalf("NewSession: %v", err)
+			}
+			defer ss.Close()
+			n := len(tc.input)
+			pos := 0
+			for _, cut := range []int{0, 1, 5, n / 3, n / 2, n - 1, n} {
+				if err := ss.Feed(nil, tc.input[pos:cut]); err != nil {
+					t.Fatalf("Feed: %v", err)
+				}
+				for _, b := range tc.input[pos:cut] {
+					for _, r := range runners {
+						if r != nil {
+							r.Step(b)
+						}
+					}
+				}
+				pos = cut
+				ck := ss.Checkpoint()
+				got, err := ck.MarshalBinary()
+				if err != nil {
+					t.Fatalf("MarshalBinary at %d: %v", cut, err)
+				}
+				want := runnerSessionWire(t, e, ck.Generation(), runners, cut)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("at %d the session wire (%d B) differs from the per-machine runner wire (%d B)",
+						cut, len(got), len(want))
+				}
+				var tail []Match
+				for _, m := range oracle {
+					if m.End >= cut {
+						tail = append(tail, m)
+					}
+				}
+				if resumed := resumeMatches(t, svc, want, tc.input, cut); !equalMatches(resumed, tail) {
+					t.Fatalf("resume at %d delivered %d matches, uninterrupted scan %d", cut, len(resumed), len(tail))
+				}
+			}
+		})
+	}
+}
+
+// A wire whose machines carry different started flags (here: anchored
+// machines 0 and 2 fresh, machines 1 and 3 mid-stream) resumes into
+// exactly what per-machine runners in that configuration go on to report:
+// the fresh anchored machines arm once more, and the started anchored
+// machine 3, which would match "abbb" right after the cut, stays unarmed.
+func TestCheckpointWireMixedStartedFlags(t *testing.T) {
+	patterns := []string{"^ab{3}c", "ab{2,4}c", "^(ab|cd){2,5}e", "^a.{2}b"}
+	svc, err := NewService(patterns, nil)
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
+	defer svc.Close()
+	e := svc.Engine()
+	input := []byte("abbbcdabcdeabbbc_cdcde_axxxbabbbc")
+	const cut = 11
+	runners := make([]*nbva.AHRunner, len(e.res.Machines))
+	for i, m := range e.res.Machines {
+		runners[i] = nbva.NewAHRunner(m)
+		if i%2 == 1 { // machines 1 and 3 have consumed the prefix
+			for _, b := range input[:cut] {
+				runners[i].Step(b)
+			}
+		}
+	}
+	wire := runnerSessionWire(t, e, svc.gen.Load().Seq, runners, cut)
+	ck, err := svc.DecodeSessionCheckpoint(wire)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if again, err := ck.MarshalBinary(); err != nil || !bytes.Equal(again, wire) {
+		t.Fatalf("mixed-flag wire does not round-trip (err %v)", err)
+	}
+	var want []Match
+	for pos, b := range input[cut:] {
+		for i, r := range runners {
+			if r.Step(b) {
+				want = append(want, Match{Pattern: i, End: cut + pos})
+			}
+		}
+	}
+	if len(want) == 0 || want[0].Pattern != 0 {
+		t.Fatalf("the fresh anchored machine 0 must match first in the continuation: %v", want)
+	}
+	if got := resumeMatches(t, svc, wire, input, cut); !equalMatches(got, want) {
+		t.Fatalf("resumed matches %v, per-machine runners %v", got, want)
+	}
+}
+
+func equalMatches(a, b []Match) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestSessionCheckpointWireCorruptionRejected(t *testing.T) {
@@ -217,7 +403,8 @@ func TestSessionCheckpointRetiredGenerationRetained(t *testing.T) {
 // decoder. Any input must either be rejected with a typed error or decode
 // into a checkpoint that resumes and keeps matching — never panic, never
 // resume into a corrupted matcher state. Seeds include genuine checkpoints
-// so the fuzzer starts from the valid region and mutates outward.
+// so the fuzzer starts from the valid region and mutates outward, and
+// genuine ones edited so their machines carry different started flags.
 func FuzzSessionCheckpointWire(f *testing.F) {
 	svc, err := NewService([]string{"ab{2}c", "a(.a){3}b"}, nil)
 	if err != nil {
@@ -240,6 +427,15 @@ func FuzzSessionCheckpointWire(f *testing.F) {
 		}
 		ss.Close()
 		f.Add(wire)
+		if cut > 0 {
+			// The same position with machine 0 rewound to unstarted:
+			// machines whose started flags differ.
+			mixed := append([]byte(nil), wire[:len(wire)-8]...)
+			mixed[34] = 0 // after the 33-byte header and machine 0's presence byte
+			h := fnv.New64a()
+			h.Write(mixed)
+			f.Add(binary.LittleEndian.AppendUint64(mixed, h.Sum64()))
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte("BVCK"))

@@ -63,7 +63,8 @@ func (e *Engine) PatternErrors() []error {
 // runChunkSymbols input bytes and returns the matches found so far together
 // with the wrapped context error when canceled.
 func (e *Engine) FindAllContext(ctx context.Context, input []byte) ([]Match, error) {
-	s := e.NewStream()
+	s := e.pooledStream()
+	defer e.putStream(s)
 	return s.scanContext(ctx, input, 0)
 }
 

@@ -74,7 +74,8 @@ func TestServiceCancelMidFlightHygiene(t *testing.T) {
 }
 
 // Cancelling a batch mid-flight returns all pooled streams even when some
-// shards also panic while others are still scanning.
+// shards also panic while others are still scanning; the one-shot scans
+// return theirs too.
 func TestScanBatchCancelAndPanicHygiene(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -115,6 +116,22 @@ func TestScanBatchCancelAndPanicHygiene(t *testing.T) {
 		if n := e.StreamsOut(); n != 0 {
 			t.Fatalf("iteration %d: %d pooled streams checked out after batch", i, n)
 		}
+	}
+
+	// The one-shot scans borrow from the same pool and return on every
+	// path, a canceled context included.
+	e.FindAll(inputs[0])
+	e.Count(inputs[0])
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.FindAllContext(dead, inputs[0]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FindAllContext on a canceled context: %v", err)
+	}
+	if _, err := e.FindAllContext(context.Background(), inputs[0]); err != nil {
+		t.Fatalf("FindAllContext: %v", err)
+	}
+	if n := e.StreamsOut(); n != 0 {
+		t.Fatalf("%d pooled streams checked out after FindAll/Count/FindAllContext", n)
 	}
 
 	if after := settleGoroutines(before); after > before {

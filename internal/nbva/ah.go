@@ -47,8 +47,9 @@ type AHNBVA struct {
 	// Anchored restricts matches to begin at the first input symbol.
 	Anchored bool
 
-	byDest   [][]int
-	bySource [][]int
+	// out and in index Edges by source and by destination (see
+	// adjacency); AHRunner and the merged scan core both walk them.
+	out, in adjacency
 	// Origin maps each AH state back to the NBVA state it was split
 	// from, for diagnostics and for the compiler's reports.
 	Origin []int
@@ -76,13 +77,48 @@ func (a *AHNBVA) BVStateCount() int {
 func (a *AHNBVA) Finalize() { a.finalize() }
 
 func (a *AHNBVA) finalize() {
-	a.byDest = make([][]int, len(a.States))
-	a.bySource = make([][]int, len(a.States))
-	for i, e := range a.Edges {
-		a.byDest[e.To] = append(a.byDest[e.To], i)
-		a.bySource[e.From] = append(a.bySource[e.From], i)
-	}
+	a.out = buildAdjacency(len(a.States), a.Edges, func(e *AHEdge) (int, int) { return e.From, e.To })
+	a.in = buildAdjacency(len(a.States), a.Edges, func(e *AHEdge) (int, int) { return e.To, e.From })
 }
+
+// adjacency is a compressed-sparse-row index: row q's entries are
+// list[start[q]:start[q+1]]. As an edge index (buildAdjacency) a row is in
+// Edges order, and each entry packs the state at the edge's other end
+// shifted left by one with the edge's Gated flag in bit 0. Two int32
+// arrays per direction replace a slice header per state plus an int per
+// edge, and a step reads the neighbour without touching Edges.
+type adjacency struct {
+	start []int32
+	list  []int32
+}
+
+// buildAdjacency indexes edges by the row end returns first; the second
+// end is the packed neighbour.
+func buildAdjacency(n int, edges []AHEdge, ends func(*AHEdge) (row, other int)) adjacency {
+	g := adjacency{start: make([]int32, n+1), list: make([]int32, len(edges))}
+	for i := range edges {
+		row, _ := ends(&edges[i])
+		g.start[row+1]++
+	}
+	for q := 0; q < n; q++ {
+		g.start[q+1] += g.start[q]
+	}
+	fill := append([]int32(nil), g.start[:n]...)
+	for i := range edges {
+		e := &edges[i]
+		row, other := ends(e)
+		x := int32(other) << 1
+		if e.Gated {
+			x |= 1
+		}
+		g.list[fill[row]] = x
+		fill[row]++
+	}
+	return g
+}
+
+// row returns state q's packed neighbours.
+func (g *adjacency) row(q int) []int32 { return g.list[g.start[q]:g.start[q+1]] }
 
 // Transform converts an NBVA into an equivalent AH-NBVA (§4). For every
 // state q with distinct incoming actions ϑ1…ϑk it creates copies q1…qk; an
@@ -358,12 +394,11 @@ func (r *AHRunner) Step(b byte) bool {
 		}
 	}
 	for _, p := range r.activeList {
-		for _, ei := range a.bySource[p] {
-			e := &a.Edges[ei]
-			if e.Gated && !r.readOK[p] {
+		for _, x := range a.out.row(p) {
+			if x&1 != 0 && !r.readOK[p] {
 				continue
 			}
-			addCand(e.To)
+			addCand(int(x >> 1))
 		}
 	}
 
@@ -380,20 +415,20 @@ func (r *AHRunner) Step(b byte) bool {
 			r.nextVecs[q].Clear()
 		}
 		fired := false
-		for _, ei := range a.byDest[q] {
-			e := &a.Edges[ei]
-			if r.activeStamp[e.From] != cur {
+		for _, x := range a.in.row(q) {
+			from := int(x >> 1)
+			if r.activeStamp[from] != cur {
 				continue
 			}
-			if e.Gated && !r.readOK[e.From] {
+			if x&1 != 0 && !r.readOK[from] {
 				continue
 			}
 			fired = true
 			// Aggregation: OR the raw source vector into the
 			// destination's input. Set1 ignores the input, and
 			// plain states carry none.
-			if needVec && a.States[e.From].Width > 0 {
-				r.nextVecs[q].OrFrom(r.vecs[e.From])
+			if needVec && a.States[from].Width > 0 {
+				r.nextVecs[q].OrFrom(r.vecs[from])
 				r.lastSwaps++
 			}
 		}

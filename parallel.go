@@ -185,7 +185,7 @@ func (e *Engine) scanShardAttempt(ctx context.Context, input []byte, budget Budg
 	sctx, sp := tracing.StartSpan(ctx, "shard")
 	sp.SetInt("attempt", attempt)
 	sp.SetInt("bytes", len(input))
-	s := e.getStream()
+	s := e.pooledStream()
 	defer func() {
 		if v := recover(); v != nil {
 			ms = nil
@@ -196,7 +196,6 @@ func (e *Engine) scanShardAttempt(ctx context.Context, input []byte, budget Budg
 		sp.SetInt("matches", len(ms))
 		sp.End()
 	}()
-	s.Reset() // fresh runner state and a full symbol budget
 	s.SetBudget(budget)
 	ms, err = s.scanContext(sctx, input, 0)
 	if hook := shardCorruptHook; hook != nil {

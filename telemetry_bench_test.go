@@ -98,9 +98,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // TestUninstrumentedStepAllocationFree enforces the acceptance criterion of
 // the profiler work: with no profiler (or any sink) attached, the hwsim hot
-// path allocates zero bytes per symbol. The provenance emission sites added
-// for the profiler must stay behind their nil checks. A warm-up run lets
-// scratch buffers (active lists, report FIFOs) reach steady state first.
+// path, and the software engine's Stream.Step, allocate zero bytes per
+// symbol. The provenance emission sites added for the profiler must stay
+// behind their nil checks. A warm-up run lets scratch buffers (active
+// lists, report FIFOs) reach steady state first.
 func TestUninstrumentedStepAllocationFree(t *testing.T) {
 	patterns := []string{"ab{50}c", "x.{10}y", "a{3}b", "k{200}m"}
 	d, err := DatasetByName("Snort")
@@ -125,6 +126,18 @@ func TestUninstrumentedStepAllocationFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("uninstrumented BVAP Step allocated %.2f times per 512 symbols, want 0", avg)
+	}
+
+	stream := engine.NewStream()
+	for _, c := range input {
+		stream.Step(c)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
+		for _, c := range input[:512] {
+			stream.Step(c)
+		}
+	}); avg != 0 {
+		t.Fatalf("uninstrumented Stream.Step allocated %.2f times per 512 symbols, want 0", avg)
 	}
 
 	base, err := NewBaselineSimulator(ArchCAMA, patterns)
