@@ -2,10 +2,14 @@ package bvap
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"bvap/internal/nbva"
@@ -113,12 +117,31 @@ func resumeMatches(t *testing.T, svc *Service, wire []byte, input []byte, pos in
 	return got
 }
 
+// wireGoldenLine names a session wire by set, cut, byte length and SHA-256,
+// the form testdata/checkpoint_wire_golden.txt holds.
+func wireGoldenLine(set string, cut int, wire []byte) string {
+	return fmt.Sprintf("%s %d %d %x", set, cut, len(wire), sha256.Sum256(wire))
+}
+
 // The merged scan core keeps the checkpoint wire byte-identical to the
 // per-machine runner encoding, so nodes running either engine resume each
 // other's sessions: at several positions the session's bytes equal those
 // built from per-machine AHRunner snapshots, and resuming from the latter
-// continues with the matches an uninterrupted scan finds.
+// continues with the matches an uninterrupted scan finds. Both encodings
+// must also equal the golden capture taken when AHRunner still had its own
+// step, which pins the wire across changes to the scan core and keeps
+// nodes of different versions able to resume each other's sessions.
 func TestCheckpointWireMatchesPerMachineRunners(t *testing.T) {
+	goldenText, err := os.ReadFile("testdata/checkpoint_wire_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(goldenText)), "\n") {
+		if f := strings.Fields(line); len(f) == 4 {
+			golden[f[0]+" "+f[1]] = line
+		}
+	}
 	d, err := DatasetByName("Snort")
 	if err != nil {
 		t.Fatal(err)
@@ -181,6 +204,12 @@ func TestCheckpointWireMatchesPerMachineRunners(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatalf("at %d the session wire (%d B) differs from the per-machine runner wire (%d B)",
 						cut, len(got), len(want))
+				}
+				key := fmt.Sprintf("%s %d", tc.name, cut)
+				for _, w := range [][]byte{got, want} {
+					if line := wireGoldenLine(tc.name, cut, w); line != golden[key] {
+						t.Fatalf("wire at %d is %q, golden %q", cut, line, golden[key])
+					}
 				}
 				var tail []Match
 				for _, m := range oracle {
