@@ -199,6 +199,24 @@ func BenchmarkBVAPCycleSim(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSimulatorSnort measures building a BVAP simulator over 200
+// Snort patterns: one one-machine scan table and runner per machine, the
+// cost every service calibration pays.
+func BenchmarkNewSimulatorSnort(b *testing.B) {
+	d, err := bvap.DatasetByName("Snort")
+	if err != nil {
+		b.Fatal(err)
+	}
+	engine := bvap.MustCompile(d.Patterns(200))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.NewSimulator(bvap.ArchBVAP); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBaselineCycleSim measures the unfolding-baseline simulator.
 func BenchmarkBaselineCycleSim(b *testing.B) {
 	patterns := benchPatterns()

@@ -134,17 +134,20 @@ func (c Class) Overlaps(d Class) bool {
 }
 
 // Symbols returns the members of the class in ascending order.
-func (c Class) Symbols() []byte {
-	out := make([]byte, 0, c.Count())
+func (c Class) Symbols() []byte { return c.AppendSymbols(make([]byte, 0, c.Count())) }
+
+// AppendSymbols appends the members of the class to dst in ascending order
+// and returns the extended slice.
+func (c Class) AppendSymbols(dst []byte) []byte {
 	for w := 0; w < 4; w++ {
 		word := c.bits[w]
 		for word != 0 {
 			i := bits.TrailingZeros64(word)
-			out = append(out, byte(w<<6+i))
+			dst = append(dst, byte(w<<6+i))
 			word &= word - 1
 		}
 	}
-	return out
+	return dst
 }
 
 // Min returns the smallest symbol in the class and ok=false if it is empty.

@@ -48,7 +48,7 @@ type AHNBVA struct {
 	Anchored bool
 
 	// out and in index Edges by source and by destination (see
-	// adjacency); AHRunner and the merged scan core both walk them.
+	// adjacency); the merged scan core walks them.
 	out, in adjacency
 	// Origin maps each AH state back to the NBVA state it was split
 	// from, for diagnostics and for the compiler's reports.
@@ -239,248 +239,68 @@ func MustTransform(src *NBVA) *AHNBVA {
 	return a
 }
 
-// AHRunner executes an AH-NBVA with the BVAP phase structure of §3:
+// AHRunner executes one AH-NBVA with the BVAP phase structure of §3:
 // state matching, then bit-vector processing (route, aggregate with OR,
-// apply the destination state's action), then state transition.
+// apply the destination state's action), then state transition. It is a
+// view of a one-machine merged scan table, whose Step is the only AH step;
+// the machine's state ids are the table's global ids.
 //
 // The runner is sparse: a step costs time proportional to the active
 // frontier (active states, their out-edges, and the candidate states those
 // edges reach), not to the automaton size — the same property the
 // event-driven hardware has.
 type AHRunner struct {
-	ah *AHNBVA
-	// vecs holds the current configuration's vectors (valid only for
-	// active BV states); nextVecs is the build buffer for the next
-	// configuration. Double buffering matters: aggregation must read the
-	// *old* vector of a source even when that source is itself being
-	// rewritten as a destination this step (e.g. mutually-fed shift
-	// loops).
-	vecs     []BitVector
-	nextVecs []BitVector
-
-	// activeStamp[q] == epoch marks q active in the current
-	// configuration; candStamp marks candidacy during a step.
-	activeStamp []uint64
-	candStamp   []uint64
-	epoch       uint64
-	activeList  []int
-	candList    []int
-	scratch     []int
-
-	readOK      []bool
-	isInitial   []bool
-	isFinal     []bool
-	initialList []int
-	started     bool
-
-	lastBVActive  int
-	lastNFAActive int
-	lastStorage   int // active BV states with storage (copy/shift)
-	lastSet1      int // active power-gated set1 states
-	lastReads     int // read actions executed (for energy accounting)
-	lastSwaps     int // swap-phase vector deliveries (for energy accounting)
+	r    *MergedRunner
+	list []int // ActiveList's buffer
 }
 
 // NewAHRunner returns an AHRunner in the start-of-stream configuration.
 func NewAHRunner(a *AHNBVA) *AHRunner {
-	r := &AHRunner{
-		ah:          a,
-		vecs:        make([]BitVector, a.Size()),
-		nextVecs:    make([]BitVector, a.Size()),
-		activeStamp: make([]uint64, a.Size()),
-		candStamp:   make([]uint64, a.Size()),
-		epoch:       1,
-		readOK:      make([]bool, a.Size()),
-		isInitial:   make([]bool, a.Size()),
-		isFinal:     make([]bool, a.Size()),
-	}
-	for _, q := range a.Initial {
-		if !r.isInitial[q] {
-			r.isInitial[q] = true
-			r.initialList = append(r.initialList, q)
-		}
-	}
-	for _, q := range a.Finals {
-		r.isFinal[q] = true
-	}
-	for q, st := range a.States {
-		if st.Width > 0 {
-			r.vecs[q] = NewBitVector(st.Width)
-			r.nextVecs[q] = NewBitVector(st.Width)
-		}
-	}
-	return r
+	return &AHRunner{r: NewMerged([]*AHNBVA{a}).NewRunner()}
 }
 
 // Reset returns the runner to the start-of-stream configuration.
-func (r *AHRunner) Reset() {
-	r.epoch += 2
-	r.started = false
-	r.activeList = r.activeList[:0]
-	r.lastBVActive, r.lastNFAActive = 0, 0
-	r.lastStorage, r.lastSet1 = 0, 0
-	r.lastReads, r.lastSwaps = 0, 0
-}
+func (r *AHRunner) Reset() { r.r.Reset() }
+
+// Step consumes one input symbol and reports whether a match ends at it.
+func (r *AHRunner) Step(b byte) bool { return len(r.r.Step(b)) > 0 }
 
 // Active reports whether state q is active in the current configuration.
-func (r *AHRunner) Active(q int) bool { return r.activeStamp[q] == r.epoch }
+func (r *AHRunner) Active(q int) bool { return r.r.isActive(int32(q)) }
 
 // Vector returns state q's current bit vector. Its contents are only
 // meaningful while Active(q); callers must not mutate it.
-func (r *AHRunner) Vector(q int) BitVector { return r.vecs[q] }
+func (r *AHRunner) Vector(q int) BitVector { return r.r.vector(int32(q)) }
 
 // ActiveBVStates returns the number of active BV states after the latest
 // step.
-func (r *AHRunner) ActiveBVStates() int { return r.lastBVActive }
+func (r *AHRunner) ActiveBVStates() int { return r.r.bvActive }
 
 // ActiveStates returns the number of active states after the latest step.
-func (r *AHRunner) ActiveStates() int { return r.lastNFAActive }
+func (r *AHRunner) ActiveStates() int { return r.r.ActiveStates() }
 
 // AppendActive appends the ids of the states active after the latest step
 // to dst and returns the extended slice. It allocates only when dst's
 // capacity is insufficient, so profilers can reuse one scratch buffer
 // across steps; the order is the runner's deterministic commit order.
 func (r *AHRunner) AppendActive(dst []int) []int {
-	return append(dst, r.activeList...)
+	for _, g := range r.r.active {
+		dst = append(dst, int(g))
+	}
+	return dst
 }
 
 // ReadOps and SwapOps return the counts of read actions and vector
 // deliveries performed on the latest step; the cycle simulator converts
 // these into BVM energy and latency.
-func (r *AHRunner) ReadOps() int { return r.lastReads }
-func (r *AHRunner) SwapOps() int { return r.lastSwaps }
+func (r *AHRunner) ReadOps() int { return r.r.reads }
+func (r *AHRunner) SwapOps() int { return r.r.swaps }
 
 // ActiveStorageBVs and ActiveSet1BVs split the active BV states into those
 // with SRAM storage (copy/shift) and power-gated set1 constant generators —
 // the split the BVM energy model charges differently (§5).
-func (r *AHRunner) ActiveStorageBVs() int { return r.lastStorage }
-func (r *AHRunner) ActiveSet1BVs() int    { return r.lastSet1 }
-
-// Step consumes one input symbol and reports whether a match ends at it.
-func (r *AHRunner) Step(b byte) bool {
-	a := r.ah
-	cur := r.epoch
-	next := cur + 1
-	r.lastReads, r.lastSwaps = 0, 0
-
-	// Read step: evaluate each active source's read once (performed at
-	// the source BV, §5).
-	for _, q := range r.activeList {
-		st := &a.States[q]
-		if st.Read.None || st.Width == 0 {
-			r.readOK[q] = true
-			continue
-		}
-		r.readOK[q] = st.Read.Eval(r.vecs[q])
-		r.lastReads++
-	}
-
-	// Candidate discovery: initial states plus targets of enabled edges
-	// out of active states. A candidate BV state's scratch vector is
-	// cleared on first sight.
-	r.candList = r.candList[:0]
-	addCand := func(q int) {
-		if r.candStamp[q] == next {
-			return
-		}
-		r.candStamp[q] = next
-		r.candList = append(r.candList, q)
-	}
-	armInitial := !a.Anchored || !r.started
-	r.started = true
-	if armInitial {
-		for _, q := range r.initialList {
-			addCand(q)
-		}
-	}
-	for _, p := range r.activeList {
-		for _, x := range a.out.row(p) {
-			if x&1 != 0 && !r.readOK[p] {
-				continue
-			}
-			addCand(int(x >> 1))
-		}
-	}
-
-	// Matching + bit-vector processing over the candidates.
-	match := false
-	r.scratch = r.scratch[:0]
-	for _, q := range r.candList {
-		st := &a.States[q]
-		if !st.Class.Contains(b) {
-			continue
-		}
-		needVec := st.Width > 0 && st.Action != ActSet1
-		if needVec {
-			r.nextVecs[q].Clear()
-		}
-		fired := false
-		for _, x := range a.in.row(q) {
-			from := int(x >> 1)
-			if r.activeStamp[from] != cur {
-				continue
-			}
-			if x&1 != 0 && !r.readOK[from] {
-				continue
-			}
-			fired = true
-			// Aggregation: OR the raw source vector into the
-			// destination's input. Set1 ignores the input, and
-			// plain states carry none.
-			if needVec && a.States[from].Width > 0 {
-				r.nextVecs[q].OrFrom(r.vecs[from])
-				r.lastSwaps++
-			}
-		}
-		if !fired && !(armInitial && r.isInitial[q]) {
-			continue
-		}
-		// Action execution after aggregation (§3).
-		alive := true
-		if st.Width > 0 {
-			switch st.Action {
-			case ActSet1:
-				r.nextVecs[q].SetOnly1()
-				r.lastSwaps++
-			case ActShift:
-				r.nextVecs[q].ShiftFrom(r.nextVecs[q])
-				alive = !r.nextVecs[q].IsZero()
-			default:
-				alive = !r.nextVecs[q].IsZero()
-			}
-		}
-		if !alive {
-			continue // a BV state with a zero vector is dead
-		}
-		r.scratch = append(r.scratch, q)
-	}
-
-	// Commit the new configuration: the build buffer becomes current.
-	r.vecs, r.nextVecs = r.nextVecs, r.vecs
-	r.activeList, r.scratch = r.scratch, r.activeList
-	r.lastBVActive, r.lastNFAActive = 0, 0
-	r.lastStorage, r.lastSet1 = 0, 0
-	for _, q := range r.activeList {
-		r.activeStamp[q] = next
-		st := &a.States[q]
-		r.lastNFAActive++
-		if st.Width > 0 {
-			r.lastBVActive++
-			if st.Action == ActSet1 {
-				r.lastSet1++
-			} else {
-				r.lastStorage++
-			}
-		}
-		if r.isFinal[q] {
-			if st.Read.None || st.Width == 0 || st.Read.Eval(r.vecs[q]) {
-				match = true
-			}
-		}
-	}
-	r.epoch = next
-	return match
-}
+func (r *AHRunner) ActiveStorageBVs() int { return r.r.bvActive - r.r.set1 }
+func (r *AHRunner) ActiveSet1BVs() int    { return r.r.set1 }
 
 // MatchEnds runs the AH-NBVA over input and returns every index where a
 // match ends.

@@ -12,16 +12,19 @@ package nbva
 // 7,469 states per byte (0.2%), so a list costs less than a pass over a
 // dense bitset.
 //
-// A step is AHRunner.Step over the union, and it keeps AHRunner's order:
-// seeds first (machine order, then each machine's initial-list order),
-// then targets of enabled edges in frontier order. Projected onto one
-// machine, the candidate and frontier lists are therefore exactly that
-// machine's AHRunner lists, which is what keeps checkpoints (Snapshots /
-// Restore) wire-compatible with per-machine runner snapshots.
+// Step is the tree's only AH step (§3: read, OR-aggregate, apply the
+// destination's action, commit); AHRunner is a view of a one-machine
+// table. A step keeps one order: seeds first (machine order, then each
+// machine's initial-list order), then targets of enabled edges in frontier
+// order. Projected onto one machine, the candidate and frontier lists are
+// therefore exactly those of a one-machine table, which is what keeps
+// checkpoints (Snapshots / Restore) wire-compatible with per-machine runner
+// snapshots.
 
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"bvap/internal/charclass"
 )
@@ -74,21 +77,26 @@ type bvState struct {
 // unsupported pattern) keeps its index and contributes no states.
 func NewMerged(machines []*AHNBVA) *Merged {
 	m := &Merged{machines: machines, base: make([]int32, len(machines))}
-	n := 0
+	n, edges, bvs := 0, 0, 0
 	for i, a := range machines {
 		m.base[i] = int32(n)
 		if a != nil {
 			n += len(a.States)
+			edges += len(a.Edges)
+			bvs += a.BVStateCount()
 		}
 	}
 	m.owner = make([]int32, 0, n)
 	m.class = make([]int32, 0, n)
 	m.bv = make([]int32, 0, n)
 	m.flags = make([]uint8, 0, n)
-	classID := map[charclass.Class]int32{}
-	var classes []charclass.Class
-	m.out.start = make([]int32, 1, n+1)
-	var seeds, anchored [256][]int32
+	m.bvs = make([]bvState, 0, bvs)
+	m.out = adjacency{start: make([]int32, 1, n+1), list: make([]int32, 0, edges)}
+	classID := make(map[charclass.Class]int32, n)
+	classes := make([]charclass.Class, 0, n)
+	// The distinct initial states, in machine order and then each
+	// machine's initial-list order.
+	var seeds, anchored []int32
 	for i, a := range machines {
 		if a == nil {
 			continue
@@ -131,42 +139,50 @@ func NewMerged(machines []*AHNBVA) *Merged {
 		for _, q := range a.Finals {
 			m.flags[base+int32(q)] |= sFinal
 		}
-		rows := &seeds
+		inits := &seeds
 		if a.Anchored {
-			rows = &anchored
+			inits = &anchored
 		}
-		seen := make(map[int]bool, len(a.Initial))
+		mine := len(*inits)
 		for _, q := range a.Initial {
-			if seen[q] {
-				continue
-			}
-			seen[q] = true
-			for c := 0; c < 256; c++ {
-				if a.States[q].Class.Contains(byte(c)) {
-					rows[c] = append(rows[c], base+int32(q))
-				}
+			if g := base + int32(q); !slices.Contains((*inits)[mine:], g) {
+				*inits = append(*inits, g)
 			}
 		}
 	}
+	// Walking each class's members rather than testing all 256 bytes
+	// keeps one-machine tables (one per AHRunner) cheap to build.
 	m.classWords = (len(classes) + 63) / 64
 	m.classBits = make([]uint64, 256*m.classWords)
+	var members []byte
 	for c, cl := range classes {
-		for b := 0; b < 256; b++ {
-			if cl.Contains(byte(b)) {
-				m.classBits[b*m.classWords+c>>6] |= 1 << (c & 63)
-			}
+		members = cl.AppendSymbols(members[:0])
+		for _, b := range members {
+			m.classBits[int(b)*m.classWords+c>>6] |= 1 << (c & 63)
 		}
 	}
-	m.seeds = byteRows(&seeds)
-	m.anchoredSeeds = byteRows(&anchored)
+	m.seeds = m.byteRows(seeds)
+	m.anchoredSeeds = m.byteRows(anchored)
 	return m
 }
 
-// byteRows packs one row of global state ids per input byte.
-func byteRows(rows *[256][]int32) adjacency {
+// noRows has an empty row for every input byte; it is never written.
+var noRows = adjacency{start: make([]int32, 257)}
+
+// byteRows packs, for each input byte, the states of gs whose class holds
+// it, in the order of gs.
+func (m *Merged) byteRows(gs []int32) adjacency {
+	if len(gs) == 0 {
+		return noRows
+	}
 	x := adjacency{start: make([]int32, 1, 257)}
-	for _, r := range rows {
-		x.list = append(x.list, r...)
+	for b := 0; b < 256; b++ {
+		row := m.classBits[b*m.classWords:]
+		for _, g := range gs {
+			if c := m.class[g]; row[c>>6]&(1<<(c&63)) != 0 {
+				x.list = append(x.list, g)
+			}
+		}
 		x.start = append(x.start, int32(len(x.list)))
 	}
 	return x
@@ -174,10 +190,23 @@ func byteRows(rows *[256][]int32) adjacency {
 
 // MergedRunner executes a Merged table over one input stream. It is not
 // safe for concurrent use.
+//
+// Its size is padded to a multiple of 64 B: the allocator's size class is
+// then a multiple of the cache line too, so every runner starts on a line
+// of its own. At 344 B a runner landed in the 352 B class, and two
+// parallel workers' runners shared a line that both write on every step;
+// logs-dense parallel scan throughput fell from about 19 to 11 MB/s.
 type MergedRunner struct {
+	mergedRunner
+	_ [(64 - unsafe.Sizeof(mergedRunner{})%64) % 64]byte
+}
+
+type mergedRunner struct {
 	m *Merged
-	// vecs and nextVecs are the current and build vector arenas (see
-	// AHRunner for why the double buffer matters).
+	// vecs and nextVecs are the current and build vector arenas. The
+	// double buffer matters: aggregation must read a source's old vector
+	// even when that source is itself rewritten as a destination this
+	// step (e.g. mutually-fed shift loops).
 	vecs, nextVecs []uint64
 
 	// activeStamp[g] == epoch marks g active, candStamp[g] == epoch+1
@@ -198,6 +227,12 @@ type MergedRunner struct {
 	allStarted bool
 
 	hits []int
+
+	// Per-step counts the cycle simulator charges BVM energy from: read
+	// actions executed, vector deliveries (one per OR into a copy/shift
+	// destination, one per set1), and the active BV states, of which set1
+	// are power-gated constant generators and the rest hold storage.
+	reads, swaps, bvActive, set1 int
 }
 
 // NewRunner returns a runner in the start-of-stream configuration. Its
@@ -206,7 +241,7 @@ func (m *Merged) NewRunner() *MergedRunner {
 	n := len(m.flags)
 	stamps := make([]uint32, 2*n+len(m.machines))
 	arena := make([]uint64, 2*m.words)
-	return &MergedRunner{
+	return &MergedRunner{mergedRunner: mergedRunner{
 		m:           m,
 		vecs:        arena[:m.words:m.words],
 		nextVecs:    arena[m.words:],
@@ -217,7 +252,7 @@ func (m *Merged) NewRunner() *MergedRunner {
 		epoch:       1,
 		readOK:      make([]bool, n),
 		started:     make([]bool, len(m.machines)),
-	}
+	}}
 }
 
 // advance moves the epoch forward by k. Before the uint32 counter would
@@ -252,6 +287,7 @@ func (r *MergedRunner) Reset() {
 	r.advance(2)
 	clear(r.started)
 	r.allStarted = len(r.started) == 0
+	r.reads, r.swaps, r.bvActive, r.set1 = 0, 0, 0, 0
 }
 
 // ActiveStates returns the number of active states, over all machines,
@@ -268,8 +304,14 @@ func (r *MergedRunner) Step(b byte) []int {
 	next := cur + 1
 
 	// Read step: evaluate each active BV state's read once.
+	reads := 0
 	for _, g := range r.active {
-		r.readOK[g] = m.flags[g]&sRead == 0 || r.read(g)
+		ok := true
+		if m.flags[g]&sRead != 0 {
+			ok = r.read(g)
+			reads++
+		}
+		r.readOK[g] = ok
 	}
 
 	// Candidates: armed initial states that hold b, then targets of
@@ -310,12 +352,14 @@ func (r *MergedRunner) Step(b byte) []int {
 	// action reads an input vector aggregate (OR) their enabled sources,
 	// and they die when that vector is zero.
 	r.scratch = r.scratch[:0]
+	ors, set1, storage := 0, 0, 0
 	for _, q := range r.cand {
 		flags := m.flags[q]
 		switch {
 		case flags&sBV == 0:
 		case flags&sNeedVec == 0:
 			r.vec(r.nextVecs, q).SetOnly1()
+			set1++
 		default:
 			v := r.vec(r.nextVecs, q)
 			v.Clear()
@@ -328,6 +372,7 @@ func (r *MergedRunner) Step(b byte) []int {
 					continue
 				}
 				v.OrFrom(r.vec(r.vecs, from))
+				ors++
 			}
 			if flags&sShift != 0 {
 				v.ShiftFrom(v)
@@ -335,9 +380,11 @@ func (r *MergedRunner) Step(b byte) []int {
 			if v.IsZero() {
 				continue // a BV state with a zero vector is dead
 			}
+			storage++
 		}
 		r.scratch = append(r.scratch, q)
 	}
+	r.reads, r.swaps, r.bvActive, r.set1 = reads, ors+set1, storage+set1, set1
 
 	// Commit, and report each machine with an accepting state once.
 	r.vecs, r.nextVecs = r.nextVecs, r.vecs
@@ -389,7 +436,6 @@ func (r *MergedRunner) Snapshots() []*RunnerSnapshot {
 			v = r.vec(r.vecs, g).Clone()
 		}
 		s.vecs = append(s.vecs, v)
-		s.lastCounters(&m.machines[i].States[g-m.base[i]])
 	}
 	return out
 }
@@ -397,12 +443,15 @@ func (r *MergedRunner) Snapshots() []*RunnerSnapshot {
 // Restore rewinds the runner to per-machine snapshots, one per machine; a
 // nil entry leaves its machine at the start of the stream. The frontier is
 // the machines' frontiers concatenated in machine order; each machine's
-// own order, the only order a step depends on, is kept.
+// own order, the only order a step depends on, is kept. The occupancy
+// counts are recomputed from the frontier, and no read or delivery has
+// happened since.
 func (r *MergedRunner) Restore(snaps []*RunnerSnapshot) {
 	m := r.m
 	r.active = r.active[:0]
 	r.advance(2)
 	clear(r.started)
+	r.reads, r.swaps, r.bvActive, r.set1 = 0, 0, 0, 0
 	for i, s := range snaps {
 		if s == nil {
 			continue
@@ -416,7 +465,71 @@ func (r *MergedRunner) Restore(snaps []*RunnerSnapshot) {
 			if s.vecs[k].Width() > 0 {
 				r.vec(r.vecs, g).CopyFrom(s.vecs[k])
 			}
+			r.occupy(g, 1)
 		}
 	}
 	r.allStarted = !slices.Contains(r.started, false)
+}
+
+// occupy adds d to the occupancy counts of global state g.
+func (r *MergedRunner) occupy(g int32, d int) {
+	if flags := r.m.flags[g]; flags&sBV != 0 {
+		r.bvActive += d
+		if flags&sNeedVec == 0 {
+			r.set1 += d
+		}
+	}
+}
+
+// isActive reports whether global state g is active.
+func (r *MergedRunner) isActive(g int32) bool { return r.activeStamp[g] == r.epoch }
+
+// vector returns global state g's current vector (the zero BitVector for
+// a state without one); it is meaningful only while g is active.
+func (r *MergedRunner) vector(g int32) BitVector {
+	if r.m.flags[g]&sBV == 0 {
+		return BitVector{}
+	}
+	return r.vec(r.vecs, g)
+}
+
+// The fault sites below model SRAM soft errors on one global state (see
+// AHRunner's FlipBit, Deactivate and ForceActive); none touches Step.
+
+// flipBit inverts bit (1-based) of active BV state g's vector and reports
+// whether it did.
+func (r *MergedRunner) flipBit(g int32, bit int) bool {
+	if !r.isActive(g) || r.m.flags[g]&sBV == 0 || bit < 1 || bit > int(r.m.bvs[r.m.bv[g]].width) {
+		return false
+	}
+	r.vec(r.vecs, g).Flip(bit)
+	return true
+}
+
+// deactivate drops g from the frontier, keeping the order of the rest,
+// and reports whether g was active. Its vector is left as garbage.
+func (r *MergedRunner) deactivate(g int32) bool {
+	if !r.isActive(g) {
+		return false
+	}
+	i := slices.Index(r.active, g)
+	r.active = slices.Delete(r.active, i, i+1)
+	r.activeStamp[g] = 0
+	r.occupy(g, -1)
+	return true
+}
+
+// forceActive appends idle state g to the frontier, a BV state with the
+// vector [1,0,…,0], and reports whether g was idle.
+func (r *MergedRunner) forceActive(g int32) bool {
+	if g < 0 || int(g) >= len(r.m.flags) || r.isActive(g) {
+		return false
+	}
+	r.activeStamp[g] = r.epoch
+	r.active = append(r.active, g)
+	if r.m.flags[g]&sBV != 0 {
+		r.vec(r.vecs, g).SetOnly1()
+	}
+	r.occupy(g, 1)
+	return true
 }

@@ -72,6 +72,21 @@ func stepRunners(rs []*AHRunner, b byte) (hits []int, active int) {
 	return hits, active
 }
 
+// runnerCounts sums the per-machine runners' read, swap, active-BV and
+// set1 counts of the latest step.
+func runnerCounts(rs []*AHRunner) [4]int {
+	var c [4]int
+	for _, r := range rs {
+		if r != nil {
+			c[0] += r.ReadOps()
+			c[1] += r.SwapOps()
+			c[2] += r.ActiveBVStates()
+			c[3] += r.ActiveSet1BVs()
+		}
+	}
+	return c
+}
+
 // wireOf encodes per-machine snapshots the way a session checkpoint does.
 func wireOf(t *testing.T, ms []*AHNBVA, snaps []*RunnerSnapshot) []byte {
 	t.Helper()
@@ -102,8 +117,9 @@ func runnerSnaps(rs []*AHRunner) []*RunnerSnapshot {
 
 // The merged core must be observationally identical to one AHRunner per
 // machine: the same matches in ascending machine order, the same total
-// frontier, and, projected onto each machine, the same frontier order
-// and vectors, so its snapshots encode to the same bytes.
+// frontier, read, swap, active-BV and set1 counts, and, projected onto
+// each machine, the same frontier order and vectors, so its snapshots
+// encode to the same bytes.
 func TestMergedMatchesPerMachineRunners(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -122,6 +138,10 @@ func TestMergedMatchesPerMachineRunners(t *testing.T) {
 			}
 			if merged.ActiveStates() != active {
 				t.Fatalf("seed %d pos %d: merged frontier %d, runners %d", seed, pos, merged.ActiveStates(), active)
+			}
+			got4 := [4]int{merged.reads, merged.swaps, merged.bvActive, merged.set1}
+			if want4 := runnerCounts(rs); got4 != want4 {
+				t.Fatalf("seed %d pos %d: merged read/swap/BV/set1 counts %v, runner sums %v", seed, pos, got4, want4)
 			}
 			if !bytes.Equal(wireOf(t, ms, merged.Snapshots()), wireOf(t, ms, runnerSnaps(rs))) {
 				t.Fatalf("seed %d pos %d: merged snapshot wire differs from per-machine runners", seed, pos)

@@ -7,119 +7,42 @@ package nbva
 // vector, silently deactivating an active state, or spuriously activating
 // an idle one. None of these touch the Step hot path.
 
-// RunnerSnapshot is an immutable checkpoint of an AHRunner's functional
+// RunnerSnapshot is an immutable checkpoint of one machine's functional
 // state: the active frontier, the active BV vectors, and the stream-start
 // flag. It stays valid across later Steps and can be restored repeatedly.
 type RunnerSnapshot struct {
 	started bool
 	active  []int
 	vecs    []BitVector // parallel to active; zero-width for non-BV states
-
-	bvActive, nfaActive, storage, set1 int
 }
 
 // Snapshot captures the runner's current configuration.
-func (r *AHRunner) Snapshot() *RunnerSnapshot {
-	s := &RunnerSnapshot{
-		started:   r.started,
-		active:    append([]int(nil), r.activeList...),
-		vecs:      make([]BitVector, len(r.activeList)),
-		bvActive:  r.lastBVActive,
-		nfaActive: r.lastNFAActive,
-		storage:   r.lastStorage,
-		set1:      r.lastSet1,
-	}
-	for i, q := range r.activeList {
-		if r.ah.States[q].Width > 0 {
-			s.vecs[i] = r.vecs[q].Clone()
-		}
-	}
-	return s
-}
+func (r *AHRunner) Snapshot() *RunnerSnapshot { return r.r.Snapshots()[0] }
 
 // Restore rewinds the runner to a snapshot taken on it. The snapshot stays
 // valid and may be restored again.
-func (r *AHRunner) Restore(s *RunnerSnapshot) {
-	r.epoch += 2 // invalidate every active/candidate stamp
-	r.started = s.started
-	r.activeList = r.activeList[:0]
-	r.activeList = append(r.activeList, s.active...)
-	for i, q := range s.active {
-		r.activeStamp[q] = r.epoch
-		if s.vecs[i].Width() > 0 {
-			r.vecs[q].CopyFrom(s.vecs[i])
-		}
-	}
-	r.lastBVActive, r.lastNFAActive = s.bvActive, s.nfaActive
-	r.lastStorage, r.lastSet1 = s.storage, s.set1
-	r.lastReads, r.lastSwaps = 0, 0
-}
+func (r *AHRunner) Restore(s *RunnerSnapshot) { r.r.Restore([]*RunnerSnapshot{s}) }
 
 // ActiveList returns the runner's active-state list in frontier order.
 // Callers must not mutate it; it is only valid until the next Step.
-func (r *AHRunner) ActiveList() []int { return r.activeList }
+func (r *AHRunner) ActiveList() []int {
+	r.list = r.AppendActive(r.list[:0])
+	return r.list
+}
 
 // FlipBit inverts bit (1-based) of active BV state q's vector — a modeled
 // SRAM soft error. It reports whether the flip was applied (q must be an
 // active BV state and bit within its width).
-func (r *AHRunner) FlipBit(q, bit int) bool {
-	if !r.Active(q) {
-		return false
-	}
-	st := &r.ah.States[q]
-	if st.Width == 0 || bit < 1 || bit > st.Width {
-		return false
-	}
-	r.vecs[q].Flip(bit)
-	return true
-}
+func (r *AHRunner) FlipBit(q, bit int) bool { return r.r.flipBit(int32(q), bit) }
 
 // Deactivate silently clears state q's active bit — a latch upset. The
 // state's vector is left as-is (it is garbage once inactive, matching the
 // hardware, where only the active bit gates participation). It reports
 // whether q was active.
-func (r *AHRunner) Deactivate(q int) bool {
-	if !r.Active(q) {
-		return false
-	}
-	for i, p := range r.activeList {
-		if p == q {
-			r.activeList = append(r.activeList[:i], r.activeList[i+1:]...)
-			break
-		}
-	}
-	r.activeStamp[q] = 0
-	r.lastNFAActive--
-	if st := &r.ah.States[q]; st.Width > 0 {
-		r.lastBVActive--
-		if st.Action == ActSet1 {
-			r.lastSet1--
-		} else {
-			r.lastStorage--
-		}
-	}
-	return true
-}
+func (r *AHRunner) Deactivate(q int) bool { return r.r.deactivate(int32(q)) }
 
 // ForceActive spuriously sets state q's active bit — the inverse latch
 // upset. A BV state receives the deterministic post-upset vector [1,0,…,0]
 // (the set1 pattern a freshly armed BV holds). It reports whether the state
 // was newly activated.
-func (r *AHRunner) ForceActive(q int) bool {
-	if q < 0 || q >= len(r.ah.States) || r.Active(q) {
-		return false
-	}
-	r.activeStamp[q] = r.epoch
-	r.activeList = append(r.activeList, q)
-	r.lastNFAActive++
-	if st := &r.ah.States[q]; st.Width > 0 {
-		r.vecs[q].SetOnly1()
-		r.lastBVActive++
-		if st.Action == ActSet1 {
-			r.lastSet1++
-		} else {
-			r.lastStorage++
-		}
-	}
-	return true
-}
+func (r *AHRunner) ForceActive(q int) bool { return r.r.forceActive(int32(q)) }

@@ -4,10 +4,10 @@ package nbva
 // can checkpoint on one process and resume on another (live session
 // migration). The format is deliberately minimal and machine-relative:
 // per-state vector widths are NOT on the wire — they are derived from the
-// AH-NBVA the snapshot is decoded against — and the energy/occupancy
-// counters are recomputed from the decoded frontier rather than trusted,
-// so a corrupt or hostile byte stream can at worst fail decoding, never
-// construct a runner state the machine itself could not reach.
+// AH-NBVA the snapshot is decoded against — and a runner restored from it
+// recomputes its occupancy counts from the frontier rather than trusting
+// any, so a corrupt or hostile byte stream can at worst fail decoding,
+// never construct a runner state the machine itself could not reach.
 //
 // Layout (little-endian):
 //
@@ -64,8 +64,7 @@ func (s *RunnerSnapshot) AppendWire(dst []byte, a *AHNBVA) ([]byte, error) {
 // range, no duplicate frontier entries, vector payloads exactly the
 // machine's width with no bits above it, and no all-zero vector on a BV
 // state (an active BV state with a zero vector is dead by construction and
-// cannot appear in a real frontier). The occupancy counters are recomputed
-// from the decoded frontier, mirroring Step's commit loop.
+// cannot appear in a real frontier).
 func DecodeRunnerSnapshotWire(data []byte, a *AHNBVA) (*RunnerSnapshot, []byte, error) {
 	if len(data) < 5 {
 		return nil, nil, fmt.Errorf("nbva: snapshot wire truncated: %d bytes", len(data))
@@ -97,7 +96,6 @@ func DecodeRunnerSnapshotWire(data []byte, a *AHNBVA) (*RunnerSnapshot, []byte, 
 		seen[q] = true
 		s.active = append(s.active, q)
 		st := &a.States[q]
-		s.lastCounters(st)
 		if st.Width == 0 {
 			continue
 		}
@@ -121,18 +119,4 @@ func DecodeRunnerSnapshotWire(data []byte, a *AHNBVA) (*RunnerSnapshot, []byte, 
 		s.vecs[i] = v
 	}
 	return s, data, nil
-}
-
-// lastCounters accumulates one frontier state into the recomputed occupancy
-// counters (the decode-side mirror of Step's commit loop).
-func (s *RunnerSnapshot) lastCounters(st *AHState) {
-	s.nfaActive++
-	if st.Width > 0 {
-		s.bvActive++
-		if st.Action == ActSet1 {
-			s.set1++
-		} else {
-			s.storage++
-		}
-	}
 }
