@@ -274,7 +274,10 @@ func (r *AHRunner) Vector(q int) BitVector { return r.r.vector(int32(q)) }
 
 // ActiveBVStates returns the number of active BV states after the latest
 // step.
-func (r *AHRunner) ActiveBVStates() int { return r.r.bvActive }
+func (r *AHRunner) ActiveBVStates() int {
+	bv, _ := r.r.occupancy()
+	return bv
+}
 
 // ActiveStates returns the number of active states after the latest step.
 func (r *AHRunner) ActiveStates() int { return r.r.ActiveStates() }
@@ -293,14 +296,21 @@ func (r *AHRunner) AppendActive(dst []int) []int {
 // ReadOps and SwapOps return the counts of read actions and vector
 // deliveries performed on the latest step; the cycle simulator converts
 // these into BVM energy and latency.
-func (r *AHRunner) ReadOps() int { return r.r.reads }
+func (r *AHRunner) ReadOps() int { return r.r.readOps() }
 func (r *AHRunner) SwapOps() int { return r.r.swaps }
 
 // ActiveStorageBVs and ActiveSet1BVs split the active BV states into those
 // with SRAM storage (copy/shift) and power-gated set1 constant generators —
 // the split the BVM energy model charges differently (§5).
-func (r *AHRunner) ActiveStorageBVs() int { return r.r.bvActive - r.r.set1 }
-func (r *AHRunner) ActiveSet1BVs() int    { return r.r.set1 }
+func (r *AHRunner) ActiveStorageBVs() int {
+	bv, set1 := r.r.occupancy()
+	return bv - set1
+}
+
+func (r *AHRunner) ActiveSet1BVs() int {
+	_, set1 := r.r.occupancy()
+	return set1
+}
 
 // MatchEnds runs the AH-NBVA over input and returns every index where a
 // match ends.

@@ -197,8 +197,9 @@ func (m *Merged) byteRows(gs []int32) adjacency {
 // parallel workers' runners shared a line that both write on every step;
 // logs-dense parallel scan throughput fell from about 19 to 11 MB/s.
 type MergedRunner struct {
-	mergedRunner
+	// The pad leads: a zero-size trailing field would itself be padded.
 	_ [(64 - unsafe.Sizeof(mergedRunner{})%64) % 64]byte
+	mergedRunner
 }
 
 type mergedRunner struct {
@@ -227,12 +228,11 @@ type mergedRunner struct {
 	allStarted bool
 
 	hits []int
-
-	// Per-step counts the cycle simulator charges BVM energy from: read
-	// actions executed, vector deliveries (one per OR into a copy/shift
-	// destination, one per set1), and the active BV states, of which set1
-	// are power-gated constant generators and the rest hold storage.
-	reads, swaps, bvActive, set1 int
+	// swaps counts the latest step's vector deliveries: one per OR of a
+	// source vector into a copy/shift state, one per set1 state entered.
+	// The cycle simulator's other counts (readOps, occupancy) are read off
+	// the frontiers when asked, which keeps counting out of the step.
+	swaps int
 }
 
 // NewRunner returns a runner in the start-of-stream configuration. Its
@@ -287,7 +287,7 @@ func (r *MergedRunner) Reset() {
 	r.advance(2)
 	clear(r.started)
 	r.allStarted = len(r.started) == 0
-	r.reads, r.swaps, r.bvActive, r.set1 = 0, 0, 0, 0
+	r.scratch, r.swaps = r.scratch[:0], 0
 }
 
 // ActiveStates returns the number of active states, over all machines,
@@ -304,14 +304,8 @@ func (r *MergedRunner) Step(b byte) []int {
 	next := cur + 1
 
 	// Read step: evaluate each active BV state's read once.
-	reads := 0
 	for _, g := range r.active {
-		ok := true
-		if m.flags[g]&sRead != 0 {
-			ok = r.read(g)
-			reads++
-		}
-		r.readOK[g] = ok
+		r.readOK[g] = m.flags[g]&sRead == 0 || r.read(g)
 	}
 
 	// Candidates: armed initial states that hold b, then targets of
@@ -352,14 +346,14 @@ func (r *MergedRunner) Step(b byte) []int {
 	// action reads an input vector aggregate (OR) their enabled sources,
 	// and they die when that vector is zero.
 	r.scratch = r.scratch[:0]
-	ors, set1, storage := 0, 0, 0
+	swaps := 0
 	for _, q := range r.cand {
 		flags := m.flags[q]
 		switch {
 		case flags&sBV == 0:
 		case flags&sNeedVec == 0:
 			r.vec(r.nextVecs, q).SetOnly1()
-			set1++
+			swaps++
 		default:
 			v := r.vec(r.nextVecs, q)
 			v.Clear()
@@ -372,7 +366,7 @@ func (r *MergedRunner) Step(b byte) []int {
 					continue
 				}
 				v.OrFrom(r.vec(r.vecs, from))
-				ors++
+				swaps++
 			}
 			if flags&sShift != 0 {
 				v.ShiftFrom(v)
@@ -380,13 +374,13 @@ func (r *MergedRunner) Step(b byte) []int {
 			if v.IsZero() {
 				continue // a BV state with a zero vector is dead
 			}
-			storage++
 		}
 		r.scratch = append(r.scratch, q)
 	}
-	r.reads, r.swaps, r.bvActive, r.set1 = reads, ors+set1, storage+set1, set1
+	r.swaps = swaps
 
-	// Commit, and report each machine with an accepting state once.
+	// Commit, and report each machine with an accepting state once. The
+	// frontier the step started from stays in scratch until the next step.
 	r.vecs, r.nextVecs = r.nextVecs, r.vecs
 	r.active, r.scratch = r.scratch, r.active
 	r.hits = r.hits[:0]
@@ -443,15 +437,14 @@ func (r *MergedRunner) Snapshots() []*RunnerSnapshot {
 // Restore rewinds the runner to per-machine snapshots, one per machine; a
 // nil entry leaves its machine at the start of the stream. The frontier is
 // the machines' frontiers concatenated in machine order; each machine's
-// own order, the only order a step depends on, is kept. The occupancy
-// counts are recomputed from the frontier, and no read or delivery has
-// happened since.
+// own order, the only order a step depends on, is kept. No step has run
+// since, so no reads or deliveries are reported.
 func (r *MergedRunner) Restore(snaps []*RunnerSnapshot) {
 	m := r.m
 	r.active = r.active[:0]
+	r.scratch, r.swaps = r.scratch[:0], 0
 	r.advance(2)
 	clear(r.started)
-	r.reads, r.swaps, r.bvActive, r.set1 = 0, 0, 0, 0
 	for i, s := range snaps {
 		if s == nil {
 			continue
@@ -465,20 +458,35 @@ func (r *MergedRunner) Restore(snaps []*RunnerSnapshot) {
 			if s.vecs[k].Width() > 0 {
 				r.vec(r.vecs, g).CopyFrom(s.vecs[k])
 			}
-			r.occupy(g, 1)
 		}
 	}
 	r.allStarted = !slices.Contains(r.started, false)
 }
 
-// occupy adds d to the occupancy counts of global state g.
-func (r *MergedRunner) occupy(g int32, d int) {
-	if flags := r.m.flags[g]; flags&sBV != 0 {
-		r.bvActive += d
-		if flags&sNeedVec == 0 {
-			r.set1 += d
+// readOps counts the latest step's reads: one per BV state with a read in
+// the frontier the step started from.
+func (r *MergedRunner) readOps() int {
+	n := 0
+	for _, g := range r.scratch {
+		if r.m.flags[g]&sRead != 0 {
+			n++
 		}
 	}
+	return n
+}
+
+// occupancy counts the active BV states and, among them, the set1 states
+// (power-gated constant generators; the rest hold storage).
+func (r *MergedRunner) occupancy() (bv, set1 int) {
+	for _, g := range r.active {
+		if f := r.m.flags[g]; f&sBV != 0 {
+			bv++
+			if f&sNeedVec == 0 {
+				set1++
+			}
+		}
+	}
+	return bv, set1
 }
 
 // isActive reports whether global state g is active.
@@ -515,7 +523,6 @@ func (r *MergedRunner) deactivate(g int32) bool {
 	i := slices.Index(r.active, g)
 	r.active = slices.Delete(r.active, i, i+1)
 	r.activeStamp[g] = 0
-	r.occupy(g, -1)
 	return true
 }
 
@@ -530,6 +537,5 @@ func (r *MergedRunner) forceActive(g int32) bool {
 	if r.m.flags[g]&sBV != 0 {
 		r.vec(r.vecs, g).SetOnly1()
 	}
-	r.occupy(g, 1)
 	return true
 }

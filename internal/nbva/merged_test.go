@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"bvap/internal/regex"
 )
@@ -139,7 +140,8 @@ func TestMergedMatchesPerMachineRunners(t *testing.T) {
 			if merged.ActiveStates() != active {
 				t.Fatalf("seed %d pos %d: merged frontier %d, runners %d", seed, pos, merged.ActiveStates(), active)
 			}
-			got4 := [4]int{merged.reads, merged.swaps, merged.bvActive, merged.set1}
+			bv, set1 := merged.occupancy()
+			got4 := [4]int{merged.readOps(), merged.swaps, bv, set1}
 			if want4 := runnerCounts(rs); got4 != want4 {
 				t.Fatalf("seed %d pos %d: merged read/swap/BV/set1 counts %v, runner sums %v", seed, pos, got4, want4)
 			}
@@ -246,5 +248,13 @@ func TestMergedEpochWrap(t *testing.T) {
 	}
 	if got.epoch > 1<<10 {
 		t.Fatalf("epoch %d did not wrap", got.epoch)
+	}
+}
+
+// A runner's size is a multiple of the cache line, so runners of parallel
+// workers never share one (see MergedRunner).
+func TestMergedRunnerSizeIsCacheLineMultiple(t *testing.T) {
+	if n := unsafe.Sizeof(MergedRunner{}); n%64 != 0 {
+		t.Fatalf("MergedRunner is %d B, not a multiple of 64", n)
 	}
 }
