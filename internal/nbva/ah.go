@@ -249,10 +249,7 @@ func MustTransform(src *NBVA) *AHNBVA {
 // frontier (active states, their out-edges, and the candidate states those
 // edges reach), not to the automaton size — the same property the
 // event-driven hardware has.
-type AHRunner struct {
-	r    *MergedRunner
-	list []int // ActiveList's buffer
-}
+type AHRunner struct{ r *MergedRunner }
 
 // NewAHRunner returns an AHRunner in the start-of-stream configuration.
 func NewAHRunner(a *AHNBVA) *AHRunner {

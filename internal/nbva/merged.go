@@ -193,9 +193,10 @@ func (m *Merged) byteRows(gs []int32) adjacency {
 //
 // Its size is padded to a multiple of 64 B: the allocator's size class is
 // then a multiple of the cache line too, so every runner starts on a line
-// of its own. At 344 B a runner landed in the 352 B class, and two
-// parallel workers' runners shared a line that both write on every step;
-// logs-dense parallel scan throughput fell from about 19 to 11 MB/s.
+// of its own. Grown to 344 B without the pad, a runner lands in the 352 B
+// class, where two parallel workers' runners share a line that both write
+// on every step: logs-dense parallel scan fell from 19–23 to 13–16 MB/s
+// on two CPUs, with the sequential scan unchanged.
 type MergedRunner struct {
 	// The pad leads: a zero-size trailing field would itself be padded.
 	_ [(64 - unsafe.Sizeof(mergedRunner{})%64) % 64]byte
@@ -221,17 +222,16 @@ type mergedRunner struct {
 	readOK                []bool
 	active, cand, scratch []int32
 
-	// started is per machine, as in AHRunner, so checkpoints carry each
-	// machine's flag; allStarted skips the anchored seeds once every
-	// machine has consumed a symbol.
+	// started is per machine, so checkpoints carry each machine's flag;
+	// allStarted skips the anchored seeds once every machine has consumed
+	// a symbol.
 	started    []bool
 	allStarted bool
 
 	hits []int
-	// swaps counts the latest step's vector deliveries: one per OR of a
-	// source vector into a copy/shift state, one per set1 state entered.
-	// The cycle simulator's other counts (readOps, occupancy) are read off
-	// the frontiers when asked, which keeps counting out of the step.
+	// swaps counts the latest step's vector deliveries, one per OR into
+	// a copy/shift state and one per set1 state entered. The simulator's
+	// other counts come off the frontiers (readOps, occupancy).
 	swaps int
 }
 
@@ -437,8 +437,7 @@ func (r *MergedRunner) Snapshots() []*RunnerSnapshot {
 // Restore rewinds the runner to per-machine snapshots, one per machine; a
 // nil entry leaves its machine at the start of the stream. The frontier is
 // the machines' frontiers concatenated in machine order; each machine's
-// own order, the only order a step depends on, is kept. No step has run
-// since, so no reads or deliveries are reported.
+// own order, the only order a step depends on, is kept.
 func (r *MergedRunner) Restore(snaps []*RunnerSnapshot) {
 	m := r.m
 	r.active = r.active[:0]
@@ -500,9 +499,6 @@ func (r *MergedRunner) vector(g int32) BitVector {
 	}
 	return r.vec(r.vecs, g)
 }
-
-// The fault sites below model SRAM soft errors on one global state (see
-// AHRunner's FlipBit, Deactivate and ForceActive); none touches Step.
 
 // flipBit inverts bit (1-based) of active BV state g's vector and reports
 // whether it did.

@@ -25,10 +25,7 @@ func (r *AHRunner) Restore(s *RunnerSnapshot) { r.r.Restore([]*RunnerSnapshot{s}
 
 // ActiveList returns the runner's active-state list in frontier order.
 // Callers must not mutate it; it is only valid until the next Step.
-func (r *AHRunner) ActiveList() []int {
-	r.list = r.AppendActive(r.list[:0])
-	return r.list
-}
+func (r *AHRunner) ActiveList() []int { return r.AppendActive(nil) }
 
 // FlipBit inverts bit (1-based) of active BV state q's vector — a modeled
 // SRAM soft error. It reports whether the flip was applied (q must be an
