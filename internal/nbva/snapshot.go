@@ -23,8 +23,8 @@ func (r *AHRunner) Snapshot() *RunnerSnapshot { return r.r.Snapshots()[0] }
 // valid and may be restored again.
 func (r *AHRunner) Restore(s *RunnerSnapshot) { r.r.Restore([]*RunnerSnapshot{s}) }
 
-// ActiveList returns the runner's active-state list in frontier order.
-// Callers must not mutate it; it is only valid until the next Step.
+// ActiveList returns a fresh copy of the runner's active-state list in
+// frontier order.
 func (r *AHRunner) ActiveList() []int { return r.AppendActive(nil) }
 
 // FlipBit inverts bit (1-based) of active BV state q's vector — a modeled
